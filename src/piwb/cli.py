@@ -46,11 +46,18 @@ from .syntax import (
 _POOL_ENV = "PIWB_FRESH_POOL"
 
 
+class UsageError(PiwbError):
+    """Missing operands or a malformed setting; exits with code 2."""
+
+
 def _universe(args, *terms) -> NameUniverse:
     pool = args.fresh_pool
     if pool is None:
         env = os.environ.get(_POOL_ENV)
-        pool = int(env) if env else None
+        try:
+            pool = int(env) if env else None
+        except ValueError:
+            raise UsageError(f"{_POOL_ENV} must be an integer, got {env!r}") from None
     return NameUniverse.for_terms(
         *terms, pool_size=pool, input_mode=args.inputs
     )
@@ -61,7 +68,7 @@ def _report(args, command, inputs, results, t0) -> dict:
         "command": command,
         "inputs": inputs,
         "results": results,
-        "timing_ms": round((time.time() - t0) * 1000, 3),
+        "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
         "universe": {
             "inputs": args.inputs,
             "fresh_pool": args.fresh_pool,
@@ -179,6 +186,8 @@ def cmd_verify_upd(args, t0):
         report = upd_sweep(names, args.max_size, args.mode)
         results = report.to_json_dict()
         return _report(args, "verify-upd", [], results, t0), (0 if report.ok else 1)
+    if args.left is None or args.right is None:
+        raise UsageError("verify-upd needs two terms, or --sweep")
     p, q = parse(args.left), parse(args.right)
     verdict = verify_upd(p, q, args.mode)
     code = 0 if verdict.unique in (True, None) else 1
@@ -434,10 +443,10 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         report, code = args.func(args, t0)
-    except (ParseError, MalformedSum) as exc:
+    except (ParseError, MalformedSum, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Inconclusive, NormalizationIncomplete) as exc:

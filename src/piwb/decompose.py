@@ -50,7 +50,6 @@ from .syntax import (
     TAU_ACT,
     Tau,
     alpha_canonical,
-    clear_hashcons,
     free_names,
     hashcons,
     is_replication_free,
@@ -151,10 +150,11 @@ class BehaviorIndex:
         if got is not None:
             return got
         # Each state is derived exactly once (this memo), so the global
-        # transition cache would only duplicate memory here.
+        # transition cache would only duplicate memory here.  Successors
+        # come back interned, so states share their subterms.
         sig = frozenset(
-            (a, self._explore((hashcons(q), k)))
-            for a, (q, k) in derive_steps(state, self.universe)
+            (a, self._explore(q))
+            for a, q in derive_steps(state, self.universe)
         )
         cid = self._intern.get(sig)
         if cid is None:
@@ -992,7 +992,6 @@ def upd_sweep(
     if input_mode is None:
         input_mode = "fresh-only" if mode == WEAK else "early"
     clear_transition_cache()
-    clear_hashcons()
     tu = TermUniverse(names, max_size, allow_restriction=allow_restriction)
     pool = []
     i = 0

@@ -13,6 +13,14 @@ compared processes: matching transition labels imply matching
 consumption, so related states always face identical input choices, even
 when one of them has dropped a received name the other still mentions.
 
+Successors are alpha-canonical and interned (`syntax.hashcons`), so a
+successor shares every subterm that the step left unchanged with its
+parent state, and equal successors derived since the last clear are one
+object.
+Actions are interned in a table of this module.  Both are fast paths
+only: equality stays structural, and `clear_transition_cache` empties
+the transition cache and both tables together.
+
 Communication (the tau steps between parallel components) is derived
 structurally from the sender's output and the receiver's input prefixes,
 so it never depends on the input instantiation mode.  Bound outputs
@@ -45,7 +53,9 @@ from .syntax import (
     action_names,
     alpha_canonical,
     binder_count,
+    clear_hashcons,
     free_names,
+    hashcons,
     is_replication_free,
     substitute,
     validate,
@@ -266,11 +276,16 @@ def start_index(p: Process, u: NameUniverse) -> int:
     return k
 
 
+_actions: dict = {}
+
+
 def derive_steps(state: tuple[Process, int], u: NameUniverse) -> frozenset:
     """Uncached step derivation on an exploration state.
 
     Returns (action, successor-state) pairs; successors are
-    alpha-canonical and carry the updated pool cursor.
+    alpha-canonical, interned with `hashcons` (so they share every
+    unchanged subterm with `state` and with each other), and carry the
+    updated pool cursor.  Actions are interned too.
     """
     term, consumed = state
     if consumed >= len(u.fresh_pool):
@@ -286,7 +301,9 @@ def derive_steps(state: tuple[Process, int], u: NameUniverse) -> frozenset:
     out = []
     for a, q in _derive(term, data, fresh):
         bump = isinstance(a, BoundOut) or (isinstance(a, In) and a.datum == fresh)
-        out.append((a, (alpha_canonical(q, avoid=avoid), consumed + 1 if bump else consumed)))
+        a = _actions.setdefault(a, a)
+        q = hashcons(alpha_canonical(q, avoid=avoid))
+        out.append((a, (q, consumed + 1 if bump else consumed)))
     return frozenset(out)
 
 
@@ -294,7 +311,11 @@ _cache: dict = {}
 
 
 def clear_transition_cache():
+    """Release everything derivation retains: the transition cache and
+    the action and `hashcons` tables that `derive_steps` fills."""
     _cache.clear()
+    _actions.clear()
+    clear_hashcons()
 
 
 def _steps_cached(state: tuple[Process, int], u: NameUniverse) -> frozenset:

@@ -3,8 +3,13 @@
 Terms are immutable and hashable; all operations here are pure.  Bound
 names are ordinary strings: alpha_canonical renames every binder into the
 reserved indexed namespace ``v0, v1, ...`` (skipping indices that would
-collide with free names) so that alpha-equivalent terms become identical
-objects.
+collide with free names) so that alpha-equivalent terms become equal.
+
+Terms share structure.  alpha_canonical and substitute return the input
+node itself wherever nothing under it changes, and hashcons interns
+terms so that equal subtrees become one object.  Equality is structural
+throughout; `self is other` is only its fast path, so no result depends
+on whether two equal terms were interned.
 """
 
 from __future__ import annotations
@@ -164,7 +169,7 @@ class Prefixed(Process):
         object.__setattr__(self, "_fn", None)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is Prefixed
             and self._hash == other._hash
             and self.prefix == other.prefix
@@ -187,7 +192,7 @@ class Sum(Process):
         object.__setattr__(self, "_fn", None)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is Sum
             and self._hash == other._hash
             and self.left == other.left
@@ -210,7 +215,7 @@ class Par(Process):
         object.__setattr__(self, "_fn", None)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is Par
             and self._hash == other._hash
             and self.left == other.left
@@ -233,7 +238,7 @@ class Restrict(Process):
         object.__setattr__(self, "_fn", None)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is Restrict
             and self._hash == other._hash
             and self.binder == other.binder
@@ -255,7 +260,7 @@ class Repl(Process):
         object.__setattr__(self, "_fn", None)
 
     def __eq__(self, other):
-        return type(other) is Repl and self.body == other.body
+        return self is other or (type(other) is Repl and self.body == other.body)
 
     __hash__ = Process.__hash__
 
@@ -645,7 +650,13 @@ def substitute(p: Process, new: Name, old: Name) -> Process:
 
 
 class _Canonizer:
-    """Renames binders to v0, v1, ... in traversal order, skipping `avoid`."""
+    """Renames binders to v0, v1, ... in traversal order, skipping `avoid`.
+
+    A node whose binder keeps its name and whose children come back
+    unchanged is returned as is, so new nodes are allocated only along
+    paths that actually change.  `env` maps the bound names in scope to
+    their new names and holds no name that keeps its own.
+    """
 
     def __init__(self, avoid: frozenset[Name]):
         self.avoid = avoid
@@ -658,45 +669,74 @@ class _Canonizer:
             if name not in self.avoid:
                 return name
 
+    def bind(self, binder: Name, env: dict[Name, Name]):
+        """Allocate the canonical name for `binder`: (name, inner env)."""
+        fresh = self.allocate()
+        if fresh != binder:
+            env = dict(env)
+            env[binder] = fresh
+        elif binder in env:
+            env = dict(env)
+            del env[binder]
+        return fresh, env
+
     def walk(self, p: Process, env: dict[Name, Name]) -> Process:
         if isinstance(p, Nil):
             return p
         if isinstance(p, Prefixed):
             pi, env2 = self.walk_prefix(p.prefix, env)
-            return Prefixed(pi, self.walk(p.cont, env2))
-        if isinstance(p, Sum):
-            return Sum(self.walk(p.left, env), self.walk(p.right, env))
-        if isinstance(p, Par):
-            return Par(self.walk(p.left, env), self.walk(p.right, env))
+            cont = self.walk(p.cont, env2)
+            if pi is p.prefix and cont is p.cont:
+                return p
+            return Prefixed(pi, cont)
+        if isinstance(p, (Sum, Par)):
+            left = self.walk(p.left, env)
+            right = self.walk(p.right, env)
+            if left is p.left and right is p.right:
+                return p
+            return type(p)(left, right)
         if isinstance(p, Restrict):
-            fresh = self.allocate()
-            env2 = dict(env)
-            env2[p.binder] = fresh
-            return Restrict(fresh, self.walk(p.body, env2))
+            fresh, env2 = self.bind(p.binder, env)
+            body = self.walk(p.body, env2)
+            if fresh == p.binder and body is p.body:
+                return p
+            return Restrict(fresh, body)
         if isinstance(p, Repl):
-            return Repl(self.walk(p.body, env))
+            body = self.walk(p.body, env)
+            return p if body is p.body else Repl(body)
         raise TypeError(f"not a process: {p!r}")
 
     def walk_prefix(self, pi: Prefix, env: dict[Name, Name]):
         if isinstance(pi, Match):
             inner, env2 = self.walk_prefix(pi.inner, env)
-            return Match(env.get(pi.lhs, pi.lhs), env.get(pi.rhs, pi.rhs), inner), env2
+            lhs = env.get(pi.lhs, pi.lhs)
+            rhs = env.get(pi.rhs, pi.rhs)
+            if inner is pi.inner and lhs == pi.lhs and rhs == pi.rhs:
+                return pi, env2
+            return Match(lhs, rhs, inner), env2
         if isinstance(pi, Output):
-            return Output(env.get(pi.chan, pi.chan), env.get(pi.datum, pi.datum)), env
+            chan = env.get(pi.chan, pi.chan)
+            datum = env.get(pi.datum, pi.datum)
+            if chan == pi.chan and datum == pi.datum:
+                return pi, env
+            return Output(chan, datum), env
         if isinstance(pi, Input):
-            fresh = self.allocate()
-            env2 = dict(env)
-            env2[pi.binder] = fresh
-            return Input(env.get(pi.chan, pi.chan), fresh), env2
+            chan = env.get(pi.chan, pi.chan)
+            fresh, env2 = self.bind(pi.binder, env)
+            if chan == pi.chan and fresh == pi.binder:
+                return pi, env2
+            return Input(chan, fresh), env2
         return pi, env
 
 
 def alpha_canonical(p: Process, avoid: frozenset[Name] = frozenset()) -> Process:
     """Deterministic renaming of all binders into the reserved namespace.
 
-    Alpha-equivalent inputs map to identical outputs; free names are left
+    Alpha-equivalent inputs map to equal outputs; free names are left
     untouched.  Indices colliding with free names of `p` or with `avoid`
     are skipped, so canonical binders never shadow anything relevant.
+    The output shares every unchanged subtree with `p`, and an input that
+    is already canonical is returned itself.
     """
     return _Canonizer(free_names(p) | avoid).walk(p, {})
 
@@ -705,28 +745,35 @@ _hashcons_table: dict = {}
 
 
 def hashcons(p: Process) -> Process:
-    """Return a structurally shared instance equal to `p`.
+    """Return the shared instance equal to `p`, interning `p` if new.
 
-    Large state sets (term sweeps) hold millions of mostly-overlapping
-    trees; interning collapses equal subtrees to one object.
+    Large state sets (term sweeps, transition graphs) hold millions of
+    mostly-overlapping trees; interning collapses equal subtrees to one
+    object.  A node whose children are already the shared ones is itself
+    interned, so nothing is copied.  Equality stays structural: identity
+    is only a fast path, and clearing the table changes no comparison.
     """
     got = _hashcons_table.get(p)
     if got is not None:
         return got
     if isinstance(p, Prefixed):
-        rebuilt = Prefixed(p.prefix, hashcons(p.cont))
-    elif isinstance(p, Sum):
-        rebuilt = Sum(hashcons(p.left), hashcons(p.right))
-    elif isinstance(p, Par):
-        rebuilt = Par(hashcons(p.left), hashcons(p.right))
+        cont = hashcons(p.cont)
+        if cont is not p.cont:
+            p = Prefixed(p.prefix, cont)
+    elif isinstance(p, (Sum, Par)):
+        left, right = hashcons(p.left), hashcons(p.right)
+        if left is not p.left or right is not p.right:
+            p = type(p)(left, right)
     elif isinstance(p, Restrict):
-        rebuilt = Restrict(p.binder, hashcons(p.body))
+        body = hashcons(p.body)
+        if body is not p.body:
+            p = Restrict(p.binder, body)
     elif isinstance(p, Repl):
-        rebuilt = Repl(hashcons(p.body))
-    else:
-        rebuilt = p
-    _hashcons_table[rebuilt] = rebuilt
-    return rebuilt
+        body = hashcons(p.body)
+        if body is not p.body:
+            p = Repl(body)
+    _hashcons_table[p] = p
+    return p
 
 
 def clear_hashcons():

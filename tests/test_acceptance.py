@@ -7,6 +7,7 @@ verdicts), and each criterion enforces its own wall-clock budget.
 
 import time
 
+import pytest
 
 from piwb import (
     NameUniverse,
@@ -218,6 +219,7 @@ def test_criterion_8_stutter_normalization():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_upd_sweep():
     t0 = time.time()
     strong_rep = upd_sweep(["a", "b"], 6, STRONG)

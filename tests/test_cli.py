@@ -122,3 +122,19 @@ def test_fresh_only_flag(capsys):
     assert "has_stuttering: False" in capsys.readouterr().out
     assert run(["stutter-check", "a?(x).(x!b.0 + tau.c!b.0)"]) == 0
     assert "has_stuttering: True" in capsys.readouterr().out
+
+
+def test_verify_upd_without_operands_is_usage_error(capsys):
+    assert run(["verify-upd"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["verify-upd", "a!b.0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_fresh_pool_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PIWB_FRESH_POOL", "abc")
+    assert run(["depth", "a!b.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PIWB_FRESH_POOL" in err
+    monkeypatch.setenv("PIWB_FRESH_POOL", "3")
+    assert run(["depth", "a!b.0"]) == 0

@@ -4,10 +4,16 @@ import pytest
 
 from piwb import (
     NIL,
+    STRONG,
+    TAU,
+    WEAK,
     NameUniverse,
     Par,
+    Prefixed,
+    TermGen,
     UniverseTooSmall,
     alpha_equivalent,
+    bisim,
     free_names,
     parse,
     prefix_count,
@@ -15,7 +21,8 @@ from piwb import (
     transitions,
     weak_transitions,
 )
-from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT
+from piwb.semantics import _cache, clear_transition_cache, derive_steps, state_for
+from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
 
 from conftest import process_pairs, processes
 
@@ -174,3 +181,62 @@ def test_weak_transitions_tau_requires_step():
     # 0 itself has no weak tau move: at least one step is required.
     weak0 = weak_transitions(NIL, NameUniverse.for_terms(NIL, extra_known=("a",)))
     assert weak0.moves == frozenset()
+
+
+def test_derived_successors_are_interned():
+    gen = TermGen(5)
+    for _ in range(60):
+        p = gen.term(6)
+        u = NameUniverse.for_terms(p)
+        for _a, (q, _k) in derive_steps(state_for(p, u), u):
+            assert hashcons(q) is q
+
+
+def test_successor_shares_the_side_that_did_not_move():
+    # Neither step renumbers a binder: the receiver's binder is v0 before
+    # and after the output fires, and the output side has no binder.
+    p = parse("a!b.0 | c?(x).x!a.0")
+    u = NameUniverse.for_terms(p)
+    term, k = state_for(p, u)
+    term = hashcons(term)
+    steps = derive_steps((term, k), u)
+    (left_moved,) = [q for a, (q, _k) in steps if a == FreeOut("a", "b")]
+    assert left_moved.right is term.right
+    right_moved = [q for a, (q, _k) in steps if isinstance(a, In)]
+    assert right_moved
+    for q in right_moved:
+        assert q.left is term.left
+
+
+def _verdicts(pairs):
+    out = []
+    for p, q in pairs:
+        u = NameUniverse.for_terms(p, q)
+        out.append((bisim(p, q, STRONG, u)[0], bisim(p, q, WEAK, u)[0]))
+    return out
+
+
+def test_verdicts_unchanged_after_clearing_intern_table():
+    gen = TermGen(9)
+    independent = [gen.pair(5) for _ in range(12)]
+    equivalent = []
+    for _ in range(12):
+        p = gen.term(5)
+        equivalent.append((p, Par(p, NIL)))
+        equivalent.append((p, Prefixed(TAU, p)))
+    pairs = independent + equivalent
+    clear_transition_cache()
+    reference = _verdicts(pairs)
+    assert {v for v, _ in reference} == {True, False}
+    assert {w for _, w in reference} == {True, False}
+    assert all(w for _, w in reference[len(independent):])
+
+    # Warm half the cache, drop the interned objects, then answer every
+    # query again: cached successors and newly interned ones now are
+    # equal but distinct objects.
+    clear_transition_cache()
+    _verdicts(pairs[::2])
+    clear_hashcons()
+    assert _cache
+    assert _verdicts(pairs) == reference
+    clear_transition_cache()

@@ -18,7 +18,20 @@ from piwb import (
     substitute,
     validate,
 )
-from piwb.syntax import Input, Output, Restrict, subterms
+from piwb.gen import TermGen
+from piwb.parser import pretty
+from piwb.syntax import (
+    Input,
+    Match,
+    Nil,
+    Output,
+    Repl,
+    Restrict,
+    canonical_binder,
+    clear_hashcons,
+    hashcons,
+    subterms,
+)
 
 from conftest import processes
 
@@ -200,3 +213,107 @@ def test_generator_respects_freshness_convention(p):
                 binders.append(pi.binder)
     assert len(binders) == len(set(binders))
     assert not (set(binders) & free_names(p))
+
+
+class _RebuildingCanonizer:
+    """Reference walker that rebuilds every node; alpha_canonical, which
+    returns unchanged nodes as they are, must agree with it."""
+
+    def __init__(self, avoid):
+        self.avoid = avoid
+        self.next_index = 0
+
+    def allocate(self):
+        while True:
+            name = canonical_binder(self.next_index)
+            self.next_index += 1
+            if name not in self.avoid:
+                return name
+
+    def walk(self, p, env):
+        if isinstance(p, Nil):
+            return p
+        if isinstance(p, Prefixed):
+            pi, env2 = self.walk_prefix(p.prefix, env)
+            return Prefixed(pi, self.walk(p.cont, env2))
+        if isinstance(p, Sum):
+            return Sum(self.walk(p.left, env), self.walk(p.right, env))
+        if isinstance(p, Par):
+            return Par(self.walk(p.left, env), self.walk(p.right, env))
+        if isinstance(p, Restrict):
+            fresh = self.allocate()
+            return Restrict(fresh, self.walk(p.body, {**env, p.binder: fresh}))
+        if isinstance(p, Repl):
+            return Repl(self.walk(p.body, env))
+        raise TypeError(p)
+
+    def walk_prefix(self, pi, env):
+        if isinstance(pi, Match):
+            inner, env2 = self.walk_prefix(pi.inner, env)
+            return Match(env.get(pi.lhs, pi.lhs), env.get(pi.rhs, pi.rhs), inner), env2
+        if isinstance(pi, Output):
+            return Output(env.get(pi.chan, pi.chan), env.get(pi.datum, pi.datum)), env
+        if isinstance(pi, Input):
+            fresh = self.allocate()
+            return Input(env.get(pi.chan, pi.chan), fresh), {**env, pi.binder: fresh}
+        return pi, env
+
+
+_AVOID = frozenset({"v0", "v2", "w0"})
+
+# Binders named like canonical ones, some shadowing others, so that
+# binders keeping their name and binders renamed under them both occur.
+_SHADOWING = [
+    "new v1.new v0.v1!v0.0",
+    "new x.new x.x!a.0",
+    "new v1.new v1.v1!a.0",
+    "a?(v0).new v0.(v0!a.0 | a?(v1).v1!v0.0)",
+    "new v0.(a?(v0).v0!b.0 | v0!a.0)",
+    "[a=a]b?(v1).[v1=b]v1!v1.0 + tau.0 | !tau.0",
+]
+
+
+def _sample_terms():
+    """300 generated terms of sizes 3-7 over {a, b, c}, half of them with
+    binders drawn from the canonical namespace, plus hand-made ones."""
+    plain = TermGen(11, ("a", "b", "c"))
+    canonical_like = TermGen(12, ("a", "b", "c"), binder_prefix="v")
+    terms = []
+    for i in range(150):
+        terms.append(plain.term(3 + i % 5))
+        terms.append(canonical_like.term(3 + i % 5))
+    return terms + [parse(text) for text in _SHADOWING]
+
+
+def test_alpha_canonical_matches_full_rebuild():
+    for p in _sample_terms():
+        for avoid in (frozenset(), _AVOID):
+            got = alpha_canonical(p, avoid=avoid)
+            want = _RebuildingCanonizer(free_names(p) | avoid).walk(p, {})
+            assert got == want
+            assert pretty(got) == pretty(want)
+
+
+def test_alpha_canonical_returns_canonical_input_itself():
+    for p in _sample_terms():
+        for avoid in (frozenset(), _AVOID):
+            c = alpha_canonical(p, avoid=avoid)
+            assert alpha_canonical(c, avoid=avoid) is c
+
+
+def test_alpha_canonical_shares_unchanged_subtrees():
+    p = parse("new z.z!a.0 | (b!c.0 + tau.0)")
+    c = alpha_canonical(p)
+    assert c.left.binder == "v0" and c.left is not p.left
+    assert c.right is p.right
+
+
+def test_hashcons_interns_new_terms_without_copying():
+    text = "a!b.0 | new z.(z!a.0 + tau.0)"
+    clear_hashcons()
+    p = parse(text)
+    assert hashcons(p) is p
+    assert all(hashcons(t) is t for t in subterms(p))
+    q = parse(text)
+    assert q is not p and hashcons(q) is p
+    clear_hashcons()
