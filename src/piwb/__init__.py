@@ -50,7 +50,7 @@ from .syntax import (
     validate,
 )
 from .parser import ParseError, SourceSpan, action_text, parse, pretty
-from .semantics import NameUniverse, WeakResult, transitions, weak_transitions
+from .semantics import NameUniverse, transitions
 from .lts import (
     Lts,
     action_weight,
@@ -64,6 +64,7 @@ from .lts import (
 from .equivalence import (
     STRONG,
     WEAK,
+    BehaviorIndex,
     Partition,
     bisim,
     bisimilar_to_nil,
@@ -81,7 +82,6 @@ from .normalize import (
     weak_depth,
 )
 from .decompose import (
-    BehaviorIndex,
     Decomposition,
     NoSplitWithinUniverse,
     SplitFound,

@@ -58,6 +58,8 @@ def _universe(args, *terms) -> NameUniverse:
             pool = int(env) if env else None
         except ValueError:
             raise UsageError(f"{_POOL_ENV} must be an integer, got {env!r}") from None
+    if pool is not None and pool < 1:
+        raise UsageError(f"fresh pool size must be positive, got {pool}")
     return NameUniverse.for_terms(
         *terms, pool_size=pool, input_mode=args.inputs
     )
@@ -380,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-weight", type=int, default=None, help="bounded exploration weight"
     )
-    ap.add_argument("--seed", type=int, default=0, help="random seed (sweeps)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("parse", help="parse and pretty-print a term")

@@ -9,10 +9,12 @@ default so that equivalent terms decompose consistently.
 
 `upd_sweep` checks the uniqueness claim wholesale: every pair of
 equivalent terms in a universe must decompose into matching factor
-multisets.  It relies on `BehaviorIndex`, which assigns integer behaviour
-class ids by interning recursive transition signatures (exact for strong
-bisimilarity on the acyclic graphs of finite terms) and derives weak
-classes by saturated refinement of the strong quotient.
+multisets.  It relies on `BehaviorIndex` (from `equivalence`), which
+assigns integer behaviour class ids by interning recursive transition
+signatures (exact for strong bisimilarity on the acyclic graphs of finite
+terms) and derives weak classes by interning saturated weak signatures
+over the strong quotient.  Weak sweeps replace stuttering terms by
+`normalize.stutter_free_representative` over the same index.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .equivalence import STRONG, WEAK, bisim
-from .errors import Aborted, NormalizationIncomplete, NotFinite
-from .lts import action_weight
-from .normalize import HeadNormalForm, _hnf, stutter_free
+from .equivalence import STRONG, WEAK, BehaviorIndex, bisim
+from .errors import Aborted, NotFinite
+from .normalize import stutter_free, stutter_free_representative
 from .parser import _render
 from .semantics import (
     NameUniverse,
+    _resolve_prefix,
     clear_transition_cache,
     derive_steps,
-    start_index,
     state_for,
 )
 from .syntax import (
@@ -48,10 +49,8 @@ from .syntax import (
     Sum,
     TAU,
     TAU_ACT,
-    Tau,
     alpha_canonical,
     free_names,
-    hashcons,
     is_replication_free,
     term_size,
 )
@@ -107,144 +106,6 @@ def parallel_factors(p: Process) -> list[Process]:
         else:
             out.append(t)
     return out
-
-
-# --------------------------------------------------------------------------
-# Behaviour classes
-
-
-class BehaviorIndex:
-    """Integer behaviour-class ids for finite terms under one universe.
-
-    Transition graphs of replication-free terms are acyclic, so strong
-    bisimilarity admits a bottom-up canonical form: two states are
-    equivalent iff the frozensets {(action, class of successor)} coincide.
-    Interning those sets gives the strong class id.  The weak layer
-    saturates the strong quotient (a DAG, since every signature references
-    only earlier ids) and refines it with weak signatures.
-    """
-
-    def __init__(self, universe: NameUniverse):
-        self.universe = universe
-        self._class_of: dict[Process, int] = {}
-        self._intern: dict[frozenset, int] = {}
-        self.signatures: list[frozenset] = []
-        self.depths: list[int] = []
-        self._weak: Optional[list[int]] = None
-        self._weak_closure: list = []
-        self._weak_sigs: list = []
-        self._weak_intern: dict = {}
-        self._stutter_here: list = []
-        self._stutter_reach: list = []
-
-    def class_of(self, term: Process) -> int:
-        u = self.universe
-        state = (
-            hashcons(alpha_canonical(term, avoid=u.all_names)),
-            start_index(term, u),
-        )
-        return self._explore(state)
-
-    def _explore(self, state) -> int:
-        got = self._class_of.get(state)
-        if got is not None:
-            return got
-        # Each state is derived exactly once (this memo), so the global
-        # transition cache would only duplicate memory here.  Successors
-        # come back interned, so states share their subterms.
-        sig = frozenset(
-            (a, self._explore(q))
-            for a, q in derive_steps(state, self.universe)
-        )
-        cid = self._intern.get(sig)
-        if cid is None:
-            cid = len(self.signatures)
-            self._intern[sig] = cid
-            self.signatures.append(sig)
-            self.depths.append(
-                max((action_weight(a) + self.depths[c] for a, c in sig), default=0)
-            )
-        self._class_of[state] = cid
-        return cid
-
-    @property
-    def nil_class(self) -> int:
-        return self.class_of(NIL)
-
-    def depth_of(self, term: Process) -> int:
-        return self.depths[self.class_of(term)]
-
-    # -- weak layer --------------------------------------------------------
-    #
-    # Signature edges always point to strictly smaller class ids, so the
-    # strong quotient is a DAG ordered by id and weak classes extend
-    # incrementally: a class either collapses into the weak class of a
-    # proper tau-descendant (its remaining behaviour adds nothing -- the
-    # stuttering case) or is the unique class with its saturated weak
-    # signature, interned on first sight.
-
-    def _ensure_weak(self):
-        if self._weak is None:
-            self._weak = []
-            self._weak_closure = []
-            self._weak_sigs = []  # weak id -> (visible part, tau part)
-            self._weak_intern = {}
-            self._stutter_here = []
-            self._stutter_reach = []
-        weak = self._weak
-        closures = self._weak_closure
-        for cid in range(len(weak), len(self.signatures)):
-            sig = self.signatures[cid]
-            clo = {cid}
-            for a, c2 in sig:
-                if a == TAU_ACT:
-                    clo |= closures[c2]
-            proper = frozenset(weak[m] for m in clo if m != cid)
-            vis = set()
-            for m in clo:
-                for a, c2 in self.signatures[m]:
-                    if a != TAU_ACT:
-                        vis.update((a, weak[t]) for t in closures[c2])
-            vis = frozenset(vis)
-            wid = None
-            for c in proper:
-                if self._weak_sigs[c] == (vis, proper - {c}):
-                    wid = c
-                    break
-            if wid is None:
-                key = (vis, proper)
-                wid = self._weak_intern.get(key)
-                if wid is None:
-                    wid = len(self._weak_sigs)
-                    self._weak_sigs.append(key)
-                    self._weak_intern[key] = wid
-            weak.append(wid)
-            closures.append(frozenset(clo))
-            here = any(a == TAU_ACT and weak[c2] == wid for a, c2 in sig)
-            self._stutter_here.append(here)
-            self._stutter_reach.append(
-                here or any(self._stutter_reach[c2] for _a, c2 in sig)
-            )
-
-    def weak_class_of(self, term: Process) -> int:
-        cid = self.class_of(term)
-        self._ensure_weak()
-        return self._weak[cid]
-
-    def class_in_mode(self, term: Process, mode: str) -> int:
-        if mode == STRONG:
-            return self.class_of(term)
-        if mode == WEAK:
-            return self.weak_class_of(term)
-        raise ValueError(f"unknown mode: {mode!r}")
-
-    def nil_class_in_mode(self, mode: str) -> int:
-        return self.class_in_mode(NIL, mode)
-
-    def stutter_reachable(self, term: Process) -> bool:
-        cid = self.class_of(term)
-        self._ensure_weak()
-        return self._stutter_reach[cid]
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +380,7 @@ def _top_capabilities(t: Process, hidden: frozenset):
     if isinstance(t, Nil):
         return frozenset(), frozenset(), frozenset()
     if isinstance(t, Prefixed):
-        core = _resolve_prefix_static(t.prefix)
+        core = _resolve_prefix(t.prefix)
         if core is None:
             return frozenset(), frozenset(), frozenset()
         if isinstance(core, Output):
@@ -557,14 +418,6 @@ def _top_capabilities(t: Process, hidden: frozenset):
             labels = labels | {("t",)}
         return labels, outs, ins
     raise TypeError(f"not a process: {t!r}")
-
-
-def _resolve_prefix_static(pi):
-    while isinstance(pi, Match):
-        if pi.lhs != pi.rhs:
-            return None
-        pi = pi.inner
-    return pi
 
 
 class _Observed(NamedTuple):
@@ -1002,7 +855,7 @@ def upd_sweep(
             pool.append(w)
     u = NameUniverse(frozenset(tu.names), pool, input_mode)
     index = BehaviorIndex(u)
-    sweep = _Sweep(index, mode, u)
+    sweep = _Sweep(index, mode)
 
     term_count = 0
     for term in tu.enumerate():
@@ -1027,10 +880,9 @@ def upd_sweep(
 class _Sweep:
     """Class-wise bookkeeping for upd_sweep; holds ids and text only."""
 
-    def __init__(self, index: BehaviorIndex, mode: str, u: NameUniverse):
+    def __init__(self, index: BehaviorIndex, mode: str):
         self.index = index
         self.mode = mode
-        self.u = u
         self.member_count: dict[int, int] = {}
         self.factorizations: dict[int, dict[tuple[int, ...], str]] = {}
         self.class_depth: dict[int, int] = {}
@@ -1052,87 +904,39 @@ class _Sweep:
         else:
             self._deferred.append((cid_s, term))
 
-    def _weak_of(self, cid: int) -> int:
-        self.index._ensure_weak()
-        return self.index._weak[cid]
-
-    def _stutters(self, cid: int) -> bool:
-        self.index._ensure_weak()
-        return self.index._stutter_reach[cid]
-
     def settle(self):
         if self.mode == STRONG:
             return
-        nil_w = self._weak_of(self.nil_strong)
+        index = self.index
+        nil_w = index.weak_id(self.nil_strong)
         for cid_s, term in self._deferred:
-            if self._weak_of(cid_s) == nil_w:
+            wid = index.weak_id(cid_s)
+            if wid == nil_w:
                 continue
-            if not self._stutters(cid_s):
-                self._record(self._weak_of(cid_s), cid_s, term, parallel_factors(term))
-                continue
-            rep = self._rep(term)
-            rep_cid = self.index.class_of(rep)
-            if self._weak_of(rep_cid) != self._weak_of(cid_s) or self._stutters(
-                rep_cid
-            ):
-                # Index-guided construction failed; fall back to the full
-                # verified normalizer, and report honestly if that fails.
-                try:
-                    rep, _report = stutter_free(term, self.u)
-                except NormalizationIncomplete as exc:
+            rep = term
+            if index.stutters(cid_s):
+                rep = stutter_free_representative(term, index, self._rep_memo)
+                rep_cid = index.class_of(rep)
+                if index.weak_id(rep_cid) != wid or index.stutters(rep_cid):
                     self.normalization_failures.append(
-                        {"term": _render(term, 0), "error": str(exc)}
+                        {
+                            "term": _render(term, 0),
+                            "error": "stutter-free normalization could not be verified",
+                        }
                     )
                     continue
-            self._record(self._weak_of(cid_s), cid_s, term, parallel_factors(rep))
+            self._record(wid, cid_s, term, parallel_factors(rep))
         self._deferred = []
-
-    def _rep(self, term: Process):
-        """Stutter-free representative, verified through the class index."""
-        got = self._rep_memo.get(term)
-        if got is not None:
-            return got
-        rep = self._rep_uncached(term)
-        self._rep_memo[term] = rep
-        return rep
-
-    def _rep_uncached(self, term: Process):
-        index = self.index
-        if not self._stutters(index.class_of(term)):
-            return term
-        if isinstance(term, Prefixed) and isinstance(term.prefix, Tau):
-            # An internal prefix is always weakly equivalent to its
-            # continuation.
-            return self._rep(term.cont)
-        if isinstance(term, Par):
-            cand = Par(self._rep(term.left), self._rep(term.right))
-            if not self._stutters(index.class_of(cand)):
-                return cand
-            term = cand
-        elif isinstance(term, Restrict):
-            cand = Restrict(term.binder, self._rep(term.body))
-            if not self._stutters(index.class_of(cand)):
-                return cand
-            term = cand
-        my_weak = self._weak_of(index.class_of(term))
-        summands = _hnf(alpha_canonical(term, avoid=self.u.all_names))
-        for guard, cont in summands:
-            if isinstance(guard, Tau):
-                if self._weak_of(index.class_of(cont)) == my_weak:
-                    return self._rep(cont)
-        return HeadNormalForm(
-            [(guard, self._rep(cont)) for guard, cont in summands]
-        ).to_process()
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _record(self, cid, strong_cid, term, factors):
         index = self.index
-        nil = self.nil_strong if self.mode == STRONG else self._weak_of(self.nil_strong)
+        nil = self.nil_strong if self.mode == STRONG else index.weak_id(self.nil_strong)
         fids = []
         for f in factors:
             fid_s = index.class_of(f)
-            fid = fid_s if self.mode == STRONG else self._weak_of(fid_s)
+            fid = fid_s if self.mode == STRONG else index.weak_id(fid_s)
             if fid != nil:
                 fids.append(fid)
         key = tuple(sorted(fids))

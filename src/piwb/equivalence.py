@@ -1,24 +1,40 @@
-"""Strong and weak bisimilarity checking with witness partitions.
+"""Strong and weak bisimilarity: one class engine, witness partitions.
 
-The main procedure is signature-based partition refinement over the
-disjoint-union transition graph of the two terms, built under one shared
-name universe so input instantiations align.  Weak mode refines over the
-saturated graph: visible challenges may be answered through internal
-steps, and a tau challenge may be answered by staying put.
+`BehaviorIndex` is the single engine for behaviour classes.  Transition
+graphs of replication-free terms are acyclic, so one bottom-up pass that
+interns each state's signature {(action, class of successor)} decides
+strong bisimilarity exactly (the rank-based idea of Dovier, Piazza and
+Policriti, TCS 2004).  Its weak layer saturates the strong quotient:
+visible challenges may be answered through internal steps, and a tau
+challenge may be answered by staying put.  The index also records which
+classes can reach a stuttering step.
+
+`refine` runs the engine over an explicit graph, here the disjoint union
+of two terms' graphs built under one shared name universe so input
+instantiations align, and returns the witness `Partition`.
 
 `naive_bisim_oracle` is an intentionally separate decision procedure
-(greatest-fixpoint shrinking of the full state-pair relation) used to
-cross-check the refinement implementation.
+(greatest-fixpoint shrinking of the full state-pair relation, with its
+own saturation) used to cross-check the engine.
 """
 
 from __future__ import annotations
 
 from .errors import NotFinite, TooLarge
-from .lts import Lts, build_lts_multi
-from .semantics import NameUniverse, _steps_cached, state_for
+from .lts import Lts, _topological_order, action_weight, build_lts_multi
+from .semantics import (
+    NameUniverse,
+    _steps_cached,
+    derive_steps,
+    start_index,
+    state_for,
+)
 from .syntax import (
+    NIL,
     Process,
     TAU_ACT,
+    alpha_canonical,
+    hashcons,
     is_replication_free,
 )
 
@@ -61,69 +77,156 @@ class Partition:
         }
 
 
-def _saturate(l: Lts):
-    """Per-state weak answers: tau closures and visible weak successors."""
-    n = len(l.states)
-    closure: list[frozenset | None] = [None] * n
+class BehaviorIndex:
+    """Integer behaviour-class ids for finite terms under one universe.
 
-    def clo(i: int) -> frozenset:
-        got = closure[i]
-        if got is None:
-            acc = {i}
-            for a, j in l.edges_from[i]:
+    Transition graphs of replication-free terms are acyclic, so strong
+    bisimilarity admits a bottom-up canonical form: two states are
+    equivalent iff the frozensets {(action, class of successor)} coincide.
+    Interning those sets gives the strong class id.  The weak layer
+    saturates the strong quotient (a DAG, since every signature references
+    only earlier ids) and interns weak signatures over it.
+    """
+
+    def __init__(self, universe: NameUniverse):
+        self.universe = universe
+        self._class_of: dict[Process, int] = {}
+        self._by_signature: dict[frozenset, int] = {}
+        self.signatures: list[frozenset] = []
+        self.depths: list[int] = []
+        # Weak layer, indexed by strong class id and filled on demand.
+        self._weak: list[int] = []
+        self._weak_closure: list[frozenset] = []
+        self._stutter_reach: list[bool] = []
+        self._weak_sigs: list = []  # weak id -> (visible part, tau part)
+        self._weak_intern: dict = {}
+
+    def class_of(self, term: Process) -> int:
+        u = self.universe
+        state = (
+            hashcons(alpha_canonical(term, avoid=u.all_names)),
+            start_index(term, u),
+        )
+        return self._explore(state)
+
+    def _explore(self, state) -> int:
+        got = self._class_of.get(state)
+        if got is not None:
+            return got
+        # Each state is derived exactly once (this memo), so the global
+        # transition cache would only duplicate memory here.  Successors
+        # come back interned, so states share their subterms.
+        cid = self.intern(
+            frozenset(
+                (a, self._explore(q)) for a, q in derive_steps(state, self.universe)
+            )
+        )
+        self._class_of[state] = cid
+        return cid
+
+    def intern(self, sig: frozenset) -> int:
+        """Class id of a state whose moves are `sig`, a set of (action,
+        successor class id) pairs; every successor id must already exist."""
+        cid = self._by_signature.get(sig)
+        if cid is None:
+            cid = len(self.signatures)
+            self._by_signature[sig] = cid
+            self.signatures.append(sig)
+            self.depths.append(
+                max((action_weight(a) + self.depths[c] for a, c in sig), default=0)
+            )
+        return cid
+
+    def depth_of(self, term: Process) -> int:
+        return self.depths[self.class_of(term)]
+
+    # -- weak layer --------------------------------------------------------
+    #
+    # Signature edges always point to strictly smaller class ids, so the
+    # strong quotient is a DAG ordered by id and weak classes extend
+    # incrementally: a class either collapses into the weak class of a
+    # proper tau-descendant (its remaining behaviour adds nothing -- the
+    # stuttering case) or is the unique class with its saturated weak
+    # signature, interned on first sight.
+
+    def _ensure_weak(self):
+        weak = self._weak
+        closures = self._weak_closure
+        for cid in range(len(weak), len(self.signatures)):
+            sig = self.signatures[cid]
+            clo = {cid}
+            for a, c2 in sig:
                 if a == TAU_ACT:
-                    acc |= clo(j)
-            got = frozenset(acc)
-            closure[i] = got
-        return got
+                    clo |= closures[c2]
+            proper = frozenset(weak[m] for m in clo if m != cid)
+            vis = set()
+            for m in clo:
+                for a, c2 in self.signatures[m]:
+                    if a != TAU_ACT:
+                        vis.update((a, weak[t]) for t in closures[c2])
+            vis = frozenset(vis)
+            wid = None
+            for c in proper:
+                if self._weak_sigs[c] == (vis, proper - {c}):
+                    wid = c
+                    break
+            if wid is None:
+                key = (vis, proper)
+                wid = self._weak_intern.get(key)
+                if wid is None:
+                    wid = len(self._weak_sigs)
+                    self._weak_sigs.append(key)
+                    self._weak_intern[key] = wid
+            weak.append(wid)
+            closures.append(frozenset(clo))
+            self._stutter_reach.append(
+                any(a == TAU_ACT and weak[c2] == wid for a, c2 in sig)
+                or any(self._stutter_reach[c2] for _a, c2 in sig)
+            )
 
-    vis: list[frozenset] = []
-    for i in range(n):
-        acc = set()
-        for s in clo(i):
-            for a, j in l.edges_from[s]:
-                if a != TAU_ACT:
-                    acc.update((a, t) for t in clo(j))
-        vis.append(frozenset(acc))
-    return [clo(i) for i in range(n)], vis
+    def weak_id(self, cid: int) -> int:
+        """Weak class id of the strong class `cid`."""
+        self._ensure_weak()
+        return self._weak[cid]
+
+    def stutters(self, cid: int) -> bool:
+        """Can the strong class `cid` reach a stuttering step?"""
+        self._ensure_weak()
+        return self._stutter_reach[cid]
+
+    def weak_class_of(self, term: Process) -> int:
+        return self.weak_id(self.class_of(term))
+
+    def class_in_mode(self, term: Process, mode: str) -> int:
+        if mode == STRONG:
+            return self.class_of(term)
+        if mode == WEAK:
+            return self.weak_class_of(term)
+        raise ValueError(f"unknown mode: {mode!r}")
+
+    def nil_class_in_mode(self, mode: str) -> int:
+        return self.class_in_mode(NIL, mode)
 
 
 def refine(l: Lts, mode: str) -> Partition:
-    """Coarsest partition closed under (strong or weak) signature splitting."""
-    n = len(l.states)
-    block = [0] * n
-    if mode == WEAK:
-        tau_clo, vis = _saturate(l)
+    """Coarsest (strong or weak) bisimulation partition of an acyclic graph.
 
-        def signature(i):
-            sig = {(a, block[j]) for a, j in vis[i]}
-            sig.update((TAU_ACT, block[j]) for j in tau_clo[i])
-            return frozenset(sig)
-
-    elif mode == STRONG:
-
-        def signature(i):
-            return frozenset((a, block[j]) for a, j in l.edges_from[i])
-
-    else:
+    States are interned bottom-up, in reverse topological order, through
+    a fresh BehaviorIndex; weak mode reads the index's weak ids.  Raises
+    CyclicLts on a graph with a cycle.
+    """
+    if mode not in (STRONG, WEAK):
         raise ValueError(f"unknown mode: {mode!r}")
-
-    while True:
-        buckets: dict = {}
-        next_block = [0] * n
-        for i in range(n):
-            key = (block[i], signature(i))
-            bid = buckets.get(key)
-            if bid is None:
-                bid = len(buckets)
-                buckets[key] = bid
-            next_block[i] = bid
-        if len(buckets) == len(set(block)):
-            return Partition(l, mode, block)
-        block = next_block
+    index = BehaviorIndex(l.universe)
+    ids = [0] * len(l.states)
+    for i in reversed(_topological_order(l)):
+        ids[i] = index.intern(frozenset((a, ids[j]) for a, j in l.edges_from[i]))
+    if mode == WEAK:
+        ids = [index.weak_id(c) for c in ids]
+    return Partition(l, mode, ids)
 
 
-def _union_lts(p: Process, q: Process, u: NameUniverse | None, mode_hint=None):
+def _union_lts(p: Process, q: Process, u: NameUniverse | None):
     if not (is_replication_free(p) and is_replication_free(q)):
         raise NotFinite("bisimilarity checking requires replication-free terms")
     if u is None:
@@ -183,7 +286,7 @@ def naive_bisim_oracle(
             return l.edges_from[i]
 
     else:
-        # Local saturation, kept separate from refine()'s on purpose.
+        # Local saturation, kept separate from BehaviorIndex's on purpose.
         closure: list[set] = [None] * n  # type: ignore[list-item]
 
         def clo(i):

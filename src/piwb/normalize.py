@@ -8,14 +8,17 @@ produces the operationally faithful term, which is for equivalence
 checking and display rather than re-parsing.
 
 A stuttering transition is an internal step between weakly bisimilar
-states.  `stutter_free` rewrites a term into a weakly bisimilar one from
-which no stuttering transition is reachable, verifying its own output and
-raising NormalizationIncomplete instead of claiming an unverified result.
+states.  `stutter_free_representative` rewrites a term into a weakly
+bisimilar one from which no stuttering transition is reachable, guided
+by the weak classes and stuttering flags of a `BehaviorIndex`; it is the
+one construction behind both `stutter_free` and the weak UPD sweep.
+`stutter_free` verifies its output through the same index and raises
+NormalizationIncomplete instead of claiming an unverified result.
 """
 
 from __future__ import annotations
 
-from .equivalence import WEAK, refine, weak_bisim
+from .equivalence import WEAK, BehaviorIndex, refine
 from .errors import NormalizationIncomplete, NotFinite
 from .lts import build_lts_multi, depth
 from .parser import _render
@@ -36,7 +39,6 @@ from .syntax import (
     Tau,
     alpha_canonical,
     bound_names,
-    free_names,
     is_replication_free,
     substitute,
 )
@@ -202,81 +204,91 @@ def _witness_json(witness):
     return {"state": _render(witness[0], 0), "successor": _render(witness[1], 0)}
 
 
+def stutter_free_representative(term: Process, index: BehaviorIndex, memo: dict):
+    """Weakly bisimilar term from which, by the index, no stuttering step
+    is reachable.
+
+    Terms whose class reaches no stuttering step are kept as they are
+    (preserving parallel structure); an internal prefix is dropped;
+    parallel compositions and restrictions are normalized componentwise
+    and rechecked; otherwise the term is expanded to head normal form --
+    an internal summand whose continuation is weakly bisimilar to the
+    whole term replaces it (depth strictly decreases), and otherwise
+    every continuation is normalized in place.
+
+    Unverified: callers check the result's weak class and stuttering
+    through `index`.  `memo` maps terms to results and may be shared by
+    calls over the same index.
+    """
+    got = memo.get(term)
+    if got is not None:
+        return got
+    cid = index.class_of(term)
+    if not index.stutters(cid):
+        result = term
+    elif isinstance(term, Prefixed) and isinstance(term.prefix, Tau):
+        # An internal prefix is always weakly equivalent to its continuation.
+        result = stutter_free_representative(term.cont, index, memo)
+    else:
+        result = _rebuild(term, cid, index, memo)
+    memo[term] = result
+    return result
+
+
+def _rebuild(term, cid, index, memo):
+    """Componentwise, then head-normal-form rebuild of a stuttering term."""
+
+    def rep(t):
+        return stutter_free_representative(t, index, memo)
+
+    if isinstance(term, Par):
+        term = Par(rep(term.left), rep(term.right))
+        cid = index.class_of(term)
+    elif isinstance(term, Restrict):
+        term = Restrict(term.binder, rep(term.body))
+        cid = index.class_of(term)
+    if not index.stutters(cid):
+        return term
+    weak = index.weak_id(cid)
+    summands = _hnf(alpha_canonical(term, avoid=index.universe.all_names))
+    for guard, cont in summands:
+        if isinstance(guard, Tau) and index.weak_class_of(cont) == weak:
+            return rep(cont)
+    return HeadNormalForm([(guard, rep(cont)) for guard, cont in summands]).to_process()
+
+
 def stutter_free(p: Process, u: NameUniverse | None = None):
     """Weakly bisimilar, stuttering-free normal form of `p`, with a report.
 
-    Construction: terms without reachable stuttering are kept as they are
-    (preserving parallel structure); parallel compositions and restrictions
-    are normalized componentwise and rechecked; otherwise the term is
-    expanded to head normal form -- an internal summand whose continuation
-    is weakly bisimilar to the whole term replaces it (depth strictly
-    decreases), and otherwise every continuation is normalized in place.
-
-    The result is verified: it must be weakly bisimilar to the input and
-    itself free of reachable stuttering.  On verification failure the
-    report and residual witness travel in NormalizationIncomplete rather
-    than being silently accepted.
+    The construction is `stutter_free_representative` over a fresh
+    BehaviorIndex, and the result is verified through that index: it must
+    be in the weak class of the input and reach no stuttering step.  On
+    verification failure the report and a stuttering witness travel in
+    NormalizationIncomplete rather than being silently accepted.
     """
     if not is_replication_free(p):
         raise NotFinite("stutter-free normalization requires a replication-free term")
     if u is None:
         u = NameUniverse.for_terms(p)
-    # Binder names may surface as free names of subterms during the
-    # recursion; widen the universe once so every inner check aligns.
+    # Checks run over `u` widened by p's binder names: in early mode
+    # inputs may also receive those names.
     work = u.extended(bound_names(p))
-    memo: dict[Process, Process] = {}
-    stutter_memo: dict[Process, bool] = {}
-
-    def stutters(t):
-        got = stutter_memo.get(t)
-        if got is None:
-            got = has_stuttering(t, work.extended(free_names(t)))[0]
-            stutter_memo[t] = got
-        return got
-
-    def norm(t):
-        t = alpha_canonical(t, avoid=work.all_names)
-        got = memo.get(t)
-        if got is not None:
-            return got
-        result = _norm_uncached(t)
-        memo[t] = result
-        return result
-
-    def _norm_uncached(t):
-        if not stutters(t):
-            return t
-        if isinstance(t, Par):
-            merged = Par(norm(t.left), norm(t.right))
-            if not stutters(merged):
-                return merged
-            t = merged
-        elif isinstance(t, Restrict):
-            merged = Restrict(t.binder, norm(t.body))
-            if not stutters(merged):
-                return merged
-            t = merged
-        summands = _hnf(alpha_canonical(t, avoid=work.all_names))
-        for guard, cont in summands:
-            if isinstance(guard, Tau):
-                inner = work.extended(free_names(cont) | free_names(t))
-                if weak_bisim(cont, t, inner)[0]:
-                    return norm(cont)
-        return HeadNormalForm(
-            [(guard, norm(cont)) for guard, cont in summands]
-        ).to_process()
-
-    result = norm(p)
-    equivalent = weak_bisim(result, p, work)[0]
-    still, witness = has_stuttering(result, work)
+    index = BehaviorIndex(work)
+    result = stutter_free_representative(
+        alpha_canonical(p, avoid=work.all_names), index, {}
+    )
+    cid = index.class_of(result)
+    equivalent = index.weak_id(cid) == index.weak_class_of(p)
+    still = index.stutters(cid)
     report = {
         "equivalent-to-input": equivalent,
         "stutter-free": not still,
     }
-    if witness is not None:
-        report["witness"] = _witness_json(witness)
     if equivalent and not still:
         return result, report
+    witness = has_stuttering(result, work)[1] if still else None
+    if witness is not None:
+        report["witness"] = _witness_json(witness)
     raise NormalizationIncomplete(
         "stutter-free normalization could not be verified",
         report=report,

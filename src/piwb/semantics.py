@@ -30,9 +30,7 @@ conditions of the parallel and close rules by construction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import NotFinite, UniverseTooSmall
+from .errors import UniverseTooSmall
 from .syntax import (
     Action,
     BoundOut,
@@ -56,7 +54,6 @@ from .syntax import (
     clear_hashcons,
     free_names,
     hashcons,
-    is_replication_free,
     substitute,
     validate,
 )
@@ -340,49 +337,3 @@ def transitions(p: Process, u: NameUniverse) -> frozenset[tuple[Action, Process]
     return frozenset(
         (a, q) for a, (q, _k) in _steps_cached(state_for(p, u), u)
     )
-
-
-class WeakResult(NamedTuple):
-    moves: frozenset
-    tau_closure: frozenset
-
-
-def weak_transitions(p: Process, u: NameUniverse) -> WeakResult:
-    """Weak moves of `p` and its reflexive-transitive tau closure.
-
-    A tau move in the result means at least one real internal step was
-    executed; visible moves absorb any number of internal steps on both
-    sides.  Requires a replication-free term so the closure terminates.
-    """
-    if not is_replication_free(p):
-        raise NotFinite("weak transitions require a replication-free term")
-    root = state_for(p, u)
-    succs: dict = {}
-    todo = [root]
-    while todo:
-        s = todo.pop()
-        if s in succs:
-            continue
-        ts = _steps_cached(s, u)
-        succs[s] = ts
-        todo.extend(q for _, q in ts)
-
-    closure: dict = {}
-
-    def clo(s):
-        got = closure.get(s)
-        if got is None:
-            acc = {s}
-            for a, q in succs[s]:
-                if a == TAU_ACT:
-                    acc |= clo(q)
-            got = frozenset(acc)
-            closure[s] = got
-        return got
-
-    moves = set()
-    for s in clo(root):
-        for a, q in succs[s]:
-            for q2 in clo(q):
-                moves.add((a, q2[0]))
-    return WeakResult(frozenset(moves), frozenset(t for t, _k in clo(root)))

@@ -377,12 +377,6 @@ def action_names(a: Action) -> frozenset[Name]:
     return frozenset()
 
 
-def action_bound_names(a: Action) -> frozenset[Name]:
-    if isinstance(a, BoundOut):
-        return frozenset((a.binder,))
-    return frozenset()
-
-
 # --------------------------------------------------------------------------
 # Name analysis
 
@@ -485,20 +479,6 @@ def prefix_count(p: Process) -> int:
         return prefix_count(p.left) + prefix_count(p.right)
     if isinstance(p, (Restrict, Repl)):
         return prefix_count(p.body)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def input_nesting(p: Process) -> int:
-    """Maximum number of input binders along any root-to-leaf path."""
-    if isinstance(p, Nil):
-        return 0
-    if isinstance(p, Prefixed):
-        _, binder = _prefix_free_names(p.prefix)
-        return (1 if binder is not None else 0) + input_nesting(p.cont)
-    if isinstance(p, (Sum, Par)):
-        return max(input_nesting(p.left), input_nesting(p.right))
-    if isinstance(p, (Restrict, Repl)):
-        return input_nesting(p.body)
     raise TypeError(f"not a process: {p!r}")
 
 

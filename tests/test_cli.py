@@ -138,3 +138,17 @@ def test_bad_fresh_pool_env_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "PIWB_FRESH_POOL" in err
     monkeypatch.setenv("PIWB_FRESH_POOL", "3")
     assert run(["depth", "a!b.0"]) == 0
+
+
+def test_nonpositive_fresh_pool_flag_is_usage_error(capsys):
+    assert run(["--fresh-pool", "0", "depth", "a?(x).0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fresh pool" in err
+    assert run(["--fresh-pool", "1", "depth", "a!b.0"]) == 0
+
+
+def test_nonpositive_fresh_pool_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PIWB_FRESH_POOL", "-3")
+    assert run(["depth", "a!b.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fresh pool" in err

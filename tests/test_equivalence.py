@@ -1,4 +1,5 @@
 import json
+import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -6,10 +7,15 @@ import pytest
 
 from piwb import (
     NIL,
+    TAU,
+    BehaviorIndex,
     NameUniverse,
     NotFinite,
     Par,
+    Prefixed,
     STRONG,
+    Sum,
+    TermGen,
     TooLarge,
     WEAK,
     bisim,
@@ -25,7 +31,7 @@ from piwb import (
 from piwb.decompose import scope_narrow
 from piwb.normalize import expand_hnf
 
-from conftest import process_pairs, processes
+from conftest import process_pairs, processes, tau_pad
 
 
 def test_noncongruence_pair_before_substitution():
@@ -87,6 +93,33 @@ def test_oracle_agreement_random(pq):
     u = NameUniverse.for_terms(p, q)
     for mode in (STRONG, WEAK):
         assert bisim(p, q, mode, u)[0] == naive_bisim_oracle(p, q, mode, u)
+
+
+def test_class_engine_agrees_with_oracle():
+    # BehaviorIndex class ids and refine's partitions (behind bisim) are
+    # one engine; both are checked against the independent oracle, in
+    # both verdict directions, on independent, tau-padded and
+    # scope-narrowed pairs, and on p against p + tau.0, which differ
+    # only in what p can silently become.
+    gen = TermGen(71, ("a", "b"))
+    rng = random.Random(71)
+    pairs = []
+    for _ in range(50):
+        p, q = gen.pair(5)
+        pairs += [(p, q), (p, tau_pad(p, rng)), (q, tau_pad(p, rng)),
+                  (q, scope_narrow(q)), (p, Sum(p, Prefixed(TAU, NIL)))]
+    for input_mode in ("early", "fresh-only"):
+        for mode in (STRONG, WEAK):
+            verdicts = []
+            for p, q in pairs:
+                u = NameUniverse.for_terms(p, q, input_mode=input_mode)
+                want = naive_bisim_oracle(p, q, mode, u)
+                index = BehaviorIndex(u)
+                same = index.class_in_mode(p, mode) == index.class_in_mode(q, mode)
+                assert same == want, (input_mode, mode, p, q)
+                assert bisim(p, q, mode, u)[0] == want, (input_mode, mode, p, q)
+                verdicts.append(want)
+            assert set(verdicts) == {True, False}, (input_mode, mode)
 
 
 def test_bisimilar_to_nil_examples():

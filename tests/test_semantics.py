@@ -19,7 +19,6 @@ from piwb import (
     prefix_count,
     substitute,
     transitions,
-    weak_transitions,
 )
 from piwb.semantics import _cache, clear_transition_cache, derive_steps, state_for
 from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
@@ -158,29 +157,6 @@ def test_fresh_name_stability(p):
     # The enlarged set may renumber its own fresh instantiation but must
     # contain the base moves plus the mirrored ones.
     assert expected <= set(enlarged)
-
-
-def test_weak_transitions_tau_prefix():
-    p = parse("tau.x!y.0")
-    u = NameUniverse.for_terms(p)
-    weak = weak_transitions(p, u)
-    assert (FreeOut("x", "y"), NIL) in weak.moves
-
-
-def test_weak_transitions_reflexive_closure():
-    u = NameUniverse.for_terms(NIL, extra_known=("a",))
-    assert weak_transitions(NIL, u).tau_closure == frozenset({NIL})
-
-
-def test_weak_transitions_tau_requires_step():
-    p = parse("tau.0")
-    u = NameUniverse.for_terms(p, extra_known=("a",))
-    weak = weak_transitions(p, u)
-    assert (TAU_ACT, NIL) in weak.moves
-    assert weak.tau_closure == frozenset({p, NIL})
-    # 0 itself has no weak tau move: at least one step is required.
-    weak0 = weak_transitions(NIL, NameUniverse.for_terms(NIL, extra_known=("a",)))
-    assert weak0.moves == frozenset()
 
 
 def test_derived_successors_are_interned():
