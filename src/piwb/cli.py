@@ -1,7 +1,9 @@
 """Command-line front end and demo suite.
 
-Exit codes: 0 success, 1 property violation, 2 usage or syntax error,
-3 inconclusive (truncated norm or unverifiable normalization).
+Exit codes: 0 success, 1 property violation, 2 usage, syntax or
+resource error (a replicated term where a finite one is required, an
+exhausted fresh pool), 3 inconclusive (truncated norm or unverifiable
+normalization).
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .errors import (
     Inconclusive,
     MalformedSum,
     NormalizationIncomplete,
+    NotFinite,
     ParseError,
     PiwbError,
+    UniverseTooSmall,
     UnknownDemo,
 )
 from .lts import build_lts, build_lts_bounded, depth, norm
@@ -447,7 +451,7 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report, code = args.func(args, t0)
-    except (ParseError, MalformedSum, UsageError) as exc:
+    except (ParseError, MalformedSum, UsageError, NotFinite, UniverseTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Inconclusive, NormalizationIncomplete) as exc:

@@ -13,7 +13,8 @@ multisets.  It relies on `BehaviorIndex` (from `equivalence`), which
 assigns integer behaviour class ids by interning recursive transition
 signatures (exact for strong bisimilarity on the acyclic graphs of finite
 terms) and derives weak classes by interning saturated weak signatures
-over the strong quotient.  Weak sweeps replace stuttering terms by
+over the strong quotient.  Both sweeps record each term as it is
+enumerated; weak sweeps first replace stuttering terms by
 `normalize.stutter_free_representative` over the same index.
 """
 
@@ -861,7 +862,6 @@ def upd_sweep(
     for term in tu.enumerate():
         term_count += 1
         sweep.add_term(term)
-    sweep.settle()
 
     violations = sweep.collect_violations()
     with_pairs = sum(1 for n in sweep.member_count.values() if n > 1)
@@ -878,7 +878,12 @@ def upd_sweep(
 
 
 class _Sweep:
-    """Class-wise bookkeeping for upd_sweep; holds ids and text only."""
+    """Class-wise bookkeeping for upd_sweep; holds ids and text only.
+
+    Terms are recorded as they are enumerated, in both modes: the index
+    fills its weak layer in class-id order and each class depends only
+    on smaller ids, so a term's weak id is final as soon as it is read.
+    """
 
     def __init__(self, index: BehaviorIndex, mode: str):
         self.index = index
@@ -887,65 +892,35 @@ class _Sweep:
         self.factorizations: dict[int, dict[tuple[int, ...], str]] = {}
         self.class_depth: dict[int, int] = {}
         self.normalization_failures: list = []
-        self.nil_strong = index.class_of(NIL)
-        # (strong cid, text, term) for members whose class may stutter;
-        # processed in settle() once the weak layer is complete.
-        self._deferred: list = []
+        self.nil = index.nil_class_in_mode(mode)
         self._rep_memo: dict[Process, Process] = {}
 
-    # -- streaming ----------------------------------------------------------
-
     def add_term(self, term: Process):
-        cid_s = self.index.class_of(term)
-        if self.mode == STRONG:
-            if cid_s == self.nil_strong:
-                return
-            self._record(cid_s, cid_s, term, parallel_factors(term))
-        else:
-            self._deferred.append((cid_s, term))
-
-    def settle(self):
-        if self.mode == STRONG:
+        index = self.index
+        strong = index.class_of(term)
+        cid = strong if self.mode == STRONG else index.weak_id(strong)
+        if cid == self.nil:
             return
-        index = self.index
-        nil_w = index.weak_id(self.nil_strong)
-        for cid_s, term in self._deferred:
-            wid = index.weak_id(cid_s)
-            if wid == nil_w:
-                continue
-            rep = term
-            if index.stutters(cid_s):
-                rep = stutter_free_representative(term, index, self._rep_memo)
-                rep_cid = index.class_of(rep)
-                if index.weak_id(rep_cid) != wid or index.stutters(rep_cid):
-                    self.normalization_failures.append(
-                        {
-                            "term": _render(term, 0),
-                            "error": "stutter-free normalization could not be verified",
-                        }
-                    )
-                    continue
-            self._record(wid, cid_s, term, parallel_factors(rep))
-        self._deferred = []
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _record(self, cid, strong_cid, term, factors):
-        index = self.index
-        nil = self.nil_strong if self.mode == STRONG else index.weak_id(self.nil_strong)
-        fids = []
-        for f in factors:
-            fid_s = index.class_of(f)
-            fid = fid_s if self.mode == STRONG else index.weak_id(fid_s)
-            if fid != nil:
-                fids.append(fid)
-        key = tuple(sorted(fids))
+        rep = term
+        if self.mode == WEAK and index.stutters(strong):
+            rep = stutter_free_representative(term, index, self._rep_memo)
+            rep_cid = index.class_of(rep)
+            if index.weak_id(rep_cid) != cid or index.stutters(rep_cid):
+                self.normalization_failures.append(
+                    {
+                        "term": _render(term, 0),
+                        "error": "stutter-free normalization could not be verified",
+                    }
+                )
+                return
+        fids = (index.class_in_mode(f, self.mode) for f in parallel_factors(rep))
+        key = tuple(sorted(f for f in fids if f != self.nil))
         self.member_count[cid] = self.member_count.get(cid, 0) + 1
         by_class = self.factorizations.setdefault(cid, {})
         if key not in by_class:
             by_class[key] = _render(term, 0)
         if cid not in self.class_depth:
-            self.class_depth[cid] = index.depths[strong_cid]
+            self.class_depth[cid] = index.depths[strong]
 
     def collect_violations(self) -> list:
         final: dict[int, Counter] = {}

@@ -9,9 +9,11 @@ visible challenges may be answered through internal steps, and a tau
 challenge may be answered by staying put.  The index also records which
 classes can reach a stuttering step.
 
-`refine` runs the engine over an explicit graph, here the disjoint union
-of two terms' graphs built under one shared name universe so input
-instantiations align, and returns the witness `Partition`.
+`bisim` explores both terms once through one fresh index under a shared
+name universe, both entered at the same pool cursor so input
+instantiations align, and compares their class ids; the witness
+`Partition` groups the states that index explored.  `refine` runs the
+engine over an explicit graph instead, for callers that hold one.
 
 `naive_bisim_oracle` is an intentionally separate decision procedure
 (greatest-fixpoint shrinking of the full state-pair relation, with its
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from .errors import NotFinite, TooLarge
 from .lts import Lts, _topological_order, action_weight, build_lts_multi
+from .parser import _render
 from .semantics import (
     NameUniverse,
     _steps_cached,
@@ -43,37 +46,34 @@ WEAK = "weak"
 
 
 class Partition:
-    """Disjoint blocks of LTS states whose induced relation is a bisimulation."""
+    """Disjoint blocks of states whose induced relation is a bisimulation.
 
-    __slots__ = ("lts", "mode", "blocks", "_block_of")
+    `states` are terms and `ids` their class ids, position by position;
+    a block is the frozenset of positions sharing one id.
+    """
 
-    def __init__(self, lts: Lts, mode: str, block_ids: list[int]):
-        self.lts = lts
+    __slots__ = ("states", "mode", "blocks", "_ids")
+
+    def __init__(self, states, mode: str, ids):
+        self.states = tuple(states)
         self.mode = mode
+        self._ids = tuple(ids)
         groups: dict[int, list[int]] = {}
-        for state, b in enumerate(block_ids):
-            groups.setdefault(b, []).append(state)
-        ordered = sorted(groups.values(), key=lambda states: states[0])
-        self.blocks = tuple(frozenset(states) for states in ordered)
-        lookup = {}
-        for bid, states in enumerate(ordered):
-            for s in states:
-                lookup[s] = bid
-        self._block_of = lookup
-
-    def block_of(self, state: int) -> int:
-        return self._block_of[state]
+        for s, b in enumerate(self._ids):
+            groups.setdefault(b, []).append(s)
+        self.blocks = tuple(frozenset(members) for members in groups.values())
 
     def same_block(self, s: int, t: int) -> bool:
-        return self._block_of[s] == self._block_of[t]
+        return self._ids[s] == self._ids[t]
 
     def to_json_dict(self) -> dict:
+        """Blocks as sorted lists of rendered states, ordered by text."""
         return {
             "mode": self.mode,
-            "blocks": [
-                sorted(self.lts.state_text(s) for s in block)
+            "blocks": sorted(
+                sorted(_render(self.states[s], 0) for s in block)
                 for block in self.blocks
-            ],
+            ),
         }
 
 
@@ -102,12 +102,12 @@ class BehaviorIndex:
         self._weak_intern: dict = {}
 
     def class_of(self, term: Process) -> int:
-        u = self.universe
-        state = (
-            hashcons(alpha_canonical(term, avoid=u.all_names)),
-            start_index(term, u),
-        )
-        return self._explore(state)
+        return self.class_at(term, start_index(term, self.universe))
+
+    def class_at(self, term: Process, consumed: int) -> int:
+        """Class id of `term` entered with pool cursor `consumed`."""
+        avoid = self.universe.all_names
+        return self._explore((hashcons(alpha_canonical(term, avoid=avoid)), consumed))
 
     def _explore(self, state) -> int:
         got = self._class_of.get(state)
@@ -223,41 +223,46 @@ def refine(l: Lts, mode: str) -> Partition:
         ids[i] = index.intern(frozenset((a, ids[j]) for a, j in l.edges_from[i]))
     if mode == WEAK:
         ids = [index.weak_id(c) for c in ids]
-    return Partition(l, mode, ids)
+    return Partition(l.states, mode, ids)
 
 
-def _union_lts(p: Process, q: Process, u: NameUniverse | None):
+def _shared_universe(p: Process, q: Process, u: NameUniverse | None):
     if not (is_replication_free(p) and is_replication_free(q)):
         raise NotFinite("bisimilarity checking requires replication-free terms")
-    if u is None:
-        u = NameUniverse.for_terms(p, q)
-    return build_lts_multi([p, q], u)
+    return NameUniverse.for_terms(p, q) if u is None else u
+
+
+def bisim(p: Process, q: Process, mode: str, u: NameUniverse | None = None):
+    """Decide p ~ q (strong) or p ~~ q (weak); the partition witnesses the
+    verdict on every state reachable from either term."""
+    if mode not in (STRONG, WEAK):
+        raise ValueError(f"unknown mode: {mode!r}")
+    u = _shared_universe(p, q, u)
+    # Both roots start at the shared pool cursor so input instantiation
+    # aligns, as in build_lts_multi.
+    k0 = max(start_index(p, u), start_index(q, u))
+    index = BehaviorIndex(u)
+    cp, cq = index.class_at(p, k0), index.class_at(q, k0)
+    ids = list(index._class_of.values())
+    if mode == WEAK:
+        cp, cq = index.weak_id(cp), index.weak_id(cq)
+        ids = [index.weak_id(c) for c in ids]
+    states = [t for t, _k in index._class_of]
+    return cp == cq, Partition(states, mode, ids)
 
 
 def strong_bisim(
     p: Process, q: Process, u: NameUniverse | None = None
 ) -> tuple[bool, Partition]:
-    """Decide p ~ q; the partition witnesses the verdict on the union graph."""
-    l = _union_lts(p, q, u)
-    part = refine(l, STRONG)
-    return part.same_block(l.roots[0], l.roots[1]), part
+    """Decide p ~ q."""
+    return bisim(p, q, STRONG, u)
 
 
 def weak_bisim(
     p: Process, q: Process, u: NameUniverse | None = None
 ) -> tuple[bool, Partition]:
     """Decide p ~~ q (weak bisimilarity), tau challenges answerable in place."""
-    l = _union_lts(p, q, u)
-    part = refine(l, WEAK)
-    return part.same_block(l.roots[0], l.roots[1]), part
-
-
-def bisim(p: Process, q: Process, mode: str, u: NameUniverse | None = None):
-    if mode == STRONG:
-        return strong_bisim(p, q, u)
-    if mode == WEAK:
-        return weak_bisim(p, q, u)
-    raise ValueError(f"unknown mode: {mode!r}")
+    return bisim(p, q, WEAK, u)
 
 
 def naive_bisim_oracle(
@@ -274,7 +279,8 @@ def naive_bisim_oracle(
     """
     if mode not in (STRONG, WEAK):
         raise ValueError(f"unknown mode: {mode!r}")
-    l = _union_lts(p, q, u)
+    u = _shared_universe(p, q, u)
+    l = build_lts_multi([p, q], u)
     n = len(l.states)
     if n * n > max_pairs:
         raise TooLarge(f"{n * n} state pairs exceed the configured bound {max_pairs}")
@@ -349,6 +355,6 @@ def bisimilar_to_nil(p: Process, mode: str, u: NameUniverse | None = None) -> bo
     if mode == STRONG:
         return not _steps_cached(state_for(p, u), u)
     if mode == WEAK:
-        l = build_lts_multi([p], u)
-        return all(a == TAU_ACT for _, a, _ in l.edges())
+        index = BehaviorIndex(u)
+        return index.weak_class_of(p) == index.weak_class_of(NIL)
     raise ValueError(f"unknown mode: {mode!r}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .equivalence import WEAK, BehaviorIndex, refine
 from .errors import NormalizationIncomplete, NotFinite
-from .lts import build_lts_multi, depth
+from .lts import build_lts_multi
 from .parser import _render
 from .semantics import NameUniverse, _resolve_prefix
 from .syntax import (
@@ -38,7 +38,6 @@ from .syntax import (
     TAU_ACT,
     Tau,
     alpha_canonical,
-    bound_names,
     is_replication_free,
     substitute,
 )
@@ -270,12 +269,9 @@ def stutter_free(p: Process, u: NameUniverse | None = None):
         raise NotFinite("stutter-free normalization requires a replication-free term")
     if u is None:
         u = NameUniverse.for_terms(p)
-    # Checks run over `u` widened by p's binder names: in early mode
-    # inputs may also receive those names.
-    work = u.extended(bound_names(p))
-    index = BehaviorIndex(work)
+    index = BehaviorIndex(u)
     result = stutter_free_representative(
-        alpha_canonical(p, avoid=work.all_names), index, {}
+        alpha_canonical(p, avoid=u.all_names), index, {}
     )
     cid = index.class_of(result)
     equivalent = index.weak_id(cid) == index.weak_class_of(p)
@@ -286,7 +282,7 @@ def stutter_free(p: Process, u: NameUniverse | None = None):
     }
     if equivalent and not still:
         return result, report
-    witness = has_stuttering(result, work)[1] if still else None
+    witness = has_stuttering(result, u)[1] if still else None
     if witness is not None:
         report["witness"] = _witness_json(witness)
     raise NormalizationIncomplete(
@@ -301,4 +297,4 @@ def weak_depth(p: Process, u: NameUniverse | None = None) -> int:
     if u is None:
         u = NameUniverse.for_terms(p)
     representative, _report = stutter_free(p, u)
-    return depth(build_lts_multi([representative], u))
+    return BehaviorIndex(u).depth_of(representative)

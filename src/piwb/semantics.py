@@ -115,26 +115,6 @@ class NameUniverse:
             f"fresh pool of size {len(self.fresh_pool)} exhausted"
         )
 
-    def extended(self, extra_names, input_mode=None):
-        """Universe with additional known names and an equally deep pool."""
-        extra = frozenset(extra_names) - self.known
-        if not extra and (input_mode is None or input_mode == self.input_mode):
-            return self
-        known = self.known | extra
-        pool = [w for w in self.fresh_pool if w not in known]
-        i = 0
-        while len(pool) < len(self.fresh_pool):
-            name = f"{_POOL_PREFIX}{i}"
-            i += 1
-            if name not in known and name not in pool:
-                pool.append(name)
-        return NameUniverse(known, pool, input_mode or self.input_mode)
-
-    def with_mode(self, input_mode):
-        if input_mode == self.input_mode:
-            return self
-        return NameUniverse(self.known, self.fresh_pool, input_mode)
-
     def covers(self, p: Process) -> bool:
         return free_names(p) <= self._all
 

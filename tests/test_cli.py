@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,27 @@ def test_nonpositive_fresh_pool_env_is_usage_error(capsys, monkeypatch):
     assert run(["depth", "a!b.0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fresh pool" in err
+
+
+def test_replicated_term_is_usage_error(capsys):
+    assert run(["depth", "!a!b.0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exhausted_fresh_pool_is_usage_error(capsys):
+    assert run(["--fresh-pool", "1", "depth", "a?(x).a?(y).0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fresh pool" in err
+
+
+def test_bisim_witness_independent_of_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "piwb.cli", "--json", "bisim", "--witness",
+            "a!b.0 | b?(x).x!c.0", "a!b.b?(x).x!c.0 + b?(x).(a!b.0 | x!c.0) + tau.c!c.0"]
+    results = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        results.append(json.loads(done.stdout)["results"])
+    assert results[0] == results[1]
+    assert len(results[0]["partition"]["blocks"]) > 3

@@ -24,11 +24,14 @@ from piwb import (
     depth,
     naive_bisim_oracle,
     parse,
+    refine,
     strong_bisim,
     substitute,
     weak_bisim,
 )
 from piwb.decompose import scope_narrow
+from piwb.lts import build_lts_multi
+from piwb.syntax import Output
 from piwb.normalize import expand_hnf
 
 from conftest import process_pairs, processes, tau_pad
@@ -96,8 +99,9 @@ def test_oracle_agreement_random(pq):
 
 
 def test_class_engine_agrees_with_oracle():
-    # BehaviorIndex class ids and refine's partitions (behind bisim) are
-    # one engine; both are checked against the independent oracle, in
+    # BehaviorIndex class ids and bisim are one engine; both are checked
+    # against the independent oracle, and bisim's witness against refine
+    # over the explicit union graph, in
     # both verdict directions, on independent, tau-padded and
     # scope-narrowed pairs, and on p against p + tau.0, which differ
     # only in what p can silently become.
@@ -117,7 +121,12 @@ def test_class_engine_agrees_with_oracle():
                 index = BehaviorIndex(u)
                 same = index.class_in_mode(p, mode) == index.class_in_mode(q, mode)
                 assert same == want, (input_mode, mode, p, q)
-                assert bisim(p, q, mode, u)[0] == want, (input_mode, mode, p, q)
+                verdict, part = bisim(p, q, mode, u)
+                assert verdict == want, (input_mode, mode, p, q)
+                # The witness groups the index's states exactly as refine
+                # groups the union graph's.
+                graph = refine(build_lts_multi([p, q], u), mode)
+                assert part.to_json_dict() == graph.to_json_dict(), (p, q)
                 verdicts.append(want)
             assert set(verdicts) == {True, False}, (input_mode, mode)
 
@@ -145,8 +154,6 @@ def test_bisimilar_terms_have_equal_depth(p):
     # Theorem: strong bisimilarity preserves depth.  Exercised through
     # semantics-preserving transformations of p.  Head normal forms may
     # leave the two-level grammar, so the tolerant graph builder is used.
-    from piwb.lts import build_lts_multi
-
     u = NameUniverse.for_terms(p)
     variants = [scope_narrow(p), expand_hnf(p).to_process(), _commute(p)]
     d = depth(build_lts(p, u))
@@ -205,3 +212,23 @@ def test_partition_json():
     assert payload["mode"] == STRONG
     assert isinstance(payload["blocks"], list)
     assert not verdict
+
+
+def test_long_chain_against_tau_copy():
+    # 450 prefixes: as deep as the recursive term functions go.
+    chain = NIL
+    for _ in range(450):
+        chain = Prefixed(Output("a", "b"), chain)
+    padded = Prefixed(TAU, chain)
+    assert not strong_bisim(chain, padded)[0]
+    assert weak_bisim(chain, padded)[0]
+
+
+def test_roots_share_the_pool_cursor():
+    # p mentions the pool name w0, so on its own it would start past it
+    # and q would not; entered together, both receive the same names.
+    u = NameUniverse(frozenset({"a", "c"}), ("w0", "w1", "w2"), "early")
+    p, q = parse("[w0=w0]a?(x).x!x.0"), parse("a?(x).x!x.0")
+    assert naive_bisim_oracle(p, q, STRONG, u)
+    for mode in (STRONG, WEAK):
+        assert bisim(p, q, mode, u)[0]
