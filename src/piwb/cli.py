@@ -19,6 +19,7 @@ from . import __version__
 from .decompose import (
     NO_SPLIT,
     TermUniverse,
+    _default_oracle,
     decomposition,
     find_split,
     upd_sweep,
@@ -171,17 +172,18 @@ def cmd_normalize(args, t0):
 def cmd_decompose(args, t0):
     p = parse(args.term)
     u = _universe(args, p)
-    d = decomposition(p, args.mode, u, oracle=False if args.no_oracle else None)
+    d = decomposition(p, args.mode, u, oracle=not args.no_oracle)
     composed_ok = bisim(d.composed(), p, args.mode, _universe(args, p, d.composed()))[0]
     results = {
         "input": pretty(p),
         "mode": args.mode,
         "factors": d.to_json_dict()["factors"],
         "verified_equivalent": composed_ok,
-        "oracle_universe": None
-        if args.no_oracle
-        else {"names": sorted(free_names(p)), "max_size": None},
+        "oracle_universe": None,
     }
+    if not args.no_oracle:
+        tu = _default_oracle(p)
+        results["oracle_universe"] = {"names": list(tu.names), "max_size": tu.max_size}
     code = 0 if composed_ok else 1
     return _report(args, "decompose", [pretty(p)], results, t0), code
 
@@ -190,12 +192,13 @@ def cmd_verify_upd(args, t0):
     if args.sweep:
         names = args.names.split(",") if args.names else ["a", "b"]
         report = upd_sweep(names, args.max_size, args.mode)
-        results = report.to_json_dict()
-        return _report(args, "verify-upd", [], results, t0), (0 if report.ok else 1)
+        out = _report(args, "verify-upd", [], report.to_json_dict(), t0)
+        out["universe"]["inputs"] = report.input_mode
+        return out, (0 if report.ok else 1)
     if args.left is None or args.right is None:
         raise UsageError("verify-upd needs two terms, or --sweep")
     p, q = parse(args.left), parse(args.right)
-    verdict = verify_upd(p, q, args.mode)
+    verdict = verify_upd(p, q, args.mode, _universe(args, p, q))
     code = 0 if verdict.unique in (True, None) else 1
     return _report(args, "verify-upd", [pretty(p), pretty(q)], verdict.to_json_dict(), t0), code
 

@@ -7,6 +7,11 @@ bisimilar to a parallel composition) is the job of `find_split`, an
 exhaustive bounded search over a term universe; `decomposition` runs it by
 default so that equivalent terms decompose consistently.
 
+`decomposition` and `verify_upd` read every class from one
+`BehaviorIndex` over the caller's universe and input discipline; factor
+multisets match modulo bisimilarity exactly when their multisets of class
+ids from one index are equal.
+
 `upd_sweep` checks the uniqueness claim wholesale: every pair of
 equivalent terms in a universe must decompose into matching factor
 multisets.  It relies on `BehaviorIndex` (from `equivalence`), which
@@ -23,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .equivalence import STRONG, WEAK, BehaviorIndex, bisim
+from .equivalence import STRONG, WEAK, BehaviorIndex
 from .errors import Aborted, NotFinite
 from .normalize import stutter_free, stutter_free_representative
 from .parser import _render
@@ -32,6 +37,7 @@ from .semantics import (
     _resolve_prefix,
     clear_transition_cache,
     derive_steps,
+    start_index,
     state_for,
 )
 from .syntax import (
@@ -61,14 +67,19 @@ from .syntax import (
 # Scope narrowing
 
 
-def _push_restriction(z, t):
+def _sink(z, t):
+    """`new z.t` with the binder dropped or moved onto a parallel factor,
+    possibly under inner restrictions; None when neither law applies, so
+    adjacent binders are reordered only when that enables one of them."""
     if z not in free_names(t):
         return t
     if isinstance(t, Par) and z not in free_names(t.left):
-        return Par(t.left, _push_restriction(z, t.right))
+        return Par(t.left, _sink(z, t.right) or Restrict(z, t.right))
     if isinstance(t, Restrict):
-        return Restrict(t.binder, _push_restriction(z, t.body))
-    return Restrict(z, t)
+        inner = _sink(z, t.body)
+        if inner is not None:
+            return Restrict(t.binder, inner)
+    return None
 
 
 def scope_narrow(p: Process) -> Process:
@@ -76,8 +87,9 @@ def scope_narrow(p: Process) -> Process:
 
     Uses the laws: drop a restriction whose name is unused, move it onto
     the right factor of a parallel composition when the left factor does
-    not mention the name, and reorder adjacent restrictions to enable the
-    other two.  The result is strongly bisimilar to the input.
+    not mention the name, and reorder adjacent restrictions when that
+    enables one of the other two.  The result is strongly bisimilar to the
+    input, and narrowing it again changes nothing.
     """
     if isinstance(p, (Nil,)):
         return p
@@ -90,7 +102,8 @@ def scope_narrow(p: Process) -> Process:
     if isinstance(p, Repl):
         return Repl(scope_narrow(p.body))
     if isinstance(p, Restrict):
-        return _push_restriction(p.binder, scope_narrow(p.body))
+        body = scope_narrow(p.body)
+        return _sink(p.binder, body) or Restrict(p.binder, body)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -461,12 +474,15 @@ def _observed(index: BehaviorIndex, root: int) -> _Observed:
     return go(root)
 
 
+_SPLIT_BUDGET = 2_000_000
+
+
 def find_split(
     p: Process,
     mode: str,
     tu: TermUniverse,
     u: NameUniverse | None = None,
-    budget: int = 2_000_000,
+    budget: int = _SPLIT_BUDGET,
 ):
     """Search `tu` exhaustively for q, r with q | r equivalent to `p`.
 
@@ -491,13 +507,17 @@ def find_split(
     """
     if not is_replication_free(p):
         raise NotFinite("split search requires a replication-free term")
-    if mode not in (STRONG, WEAK):
-        raise ValueError(f"unknown mode: {mode!r}")
     if u is None:
         u = NameUniverse.for_terms(
             p, extra_known=tu.names, pool_size=tu.max_size + 4
         )
-    index = BehaviorIndex(u)
+    return _split(p, mode, tu, BehaviorIndex(u), budget)
+
+
+def _split(p: Process, mode: str, tu: TermUniverse, index: BehaviorIndex, budget: int):
+    """find_split's search, classifying through `index`, whose universe
+    must know `tu.names` and hold a pool of at least `tu.max_size + 4`."""
+    u = index.universe
     target = index.class_in_mode(p, mode)
     nil = index.nil_class_in_mode(mode)
     if target == nil:
@@ -551,7 +571,7 @@ def find_split(
                     stack.append(q2)
         allowed_initials = frozenset(allowed)
 
-    candidates: dict[int, list[tuple[int, Process]]] = {}
+    candidates: dict[int, list[Process]] = {}
     seen_classes: set[int] = set()
     checked = 0
     for term in pruned.enumerate():
@@ -571,37 +591,26 @@ def find_split(
         d = index.depth_of(term)
         if mode == STRONG and not (1 <= d <= depth_p - 1):
             continue
-        candidates.setdefault(d, []).append((cid, term))
+        candidates.setdefault(d, []).append(term)
     if mode == STRONG:
-        pairs = []
-        for d in sorted(candidates):
-            d2 = depth_p - d
-            if d2 < d or d2 not in candidates:
-                continue
-            if d == d2:
-                pairs.append((candidates[d], candidates[d], True))
-            else:
-                pairs.append((candidates[d], candidates[d2], False))
-        for left_bucket, right_bucket, triangular in pairs:
-            for i, (cl, q) in enumerate(left_bucket):
-                start = i if triangular else 0
-                for cr, r in right_bucket[start:]:
-                    checked += 1
-                    if checked > budget:
-                        raise Aborted("split search budget exceeded", progress=checked)
-                    if index.class_of(Par(q, r)) == target:
-                        return SplitFound(q, r)
-        return NO_SPLIT
-
-    # Weak mode: no depth additivity available; check every class pair.
-    all_terms = [term for bucket in candidates.values() for _, term in bucket]
-    for i, q in enumerate(all_terms):
-        for r in all_terms[i:]:
-            checked += 1
-            if checked > budget:
-                raise Aborted("split search budget exceeded", progress=checked)
-            if index.class_in_mode(Par(q, r), mode) == target:
-                return SplitFound(q, r)
+        # Depth additivity: the two factors' depths sum to depth(p).
+        pairs = (
+            (q, r)
+            for d in sorted(candidates)
+            if 2 * d <= depth_p
+            for i, q in enumerate(candidates[d])
+            for r in candidates.get(depth_p - d, [])[i if 2 * d == depth_p else 0 :]
+        )
+    else:
+        # Weak mode: no depth additivity available; check every class pair.
+        terms = [term for bucket in candidates.values() for term in bucket]
+        pairs = ((q, r) for i, q in enumerate(terms) for r in terms[i:])
+    for q, r in pairs:
+        checked += 1
+        if checked > budget:
+            raise Aborted("split search budget exceeded", progress=checked)
+        if index.class_in_mode(Par(q, r), mode) == target:
+            return SplitFound(q, r)
     return NO_SPLIT
 
 
@@ -647,113 +656,91 @@ class Decomposition:
 
 
 def _default_oracle(p: Process) -> TermUniverse:
-    # Split parts are almost always smaller than the composed term (the
-    # composition pays a parallel operator and interleaving duplicates);
-    # the cap keeps the default search affordable and remains an explicit
-    # bounded claim either way.
-    names = sorted(free_names(p)) or ["a"]
-    return TermUniverse(names, max_size=min(term_size(p), 6))
+    # Split parts are almost always smaller than the composed term; the cap
+    # keeps the default search affordable and stays an explicit bounded
+    # claim.  Candidates mention only these names.
+    return TermUniverse(free_names(p), max_size=min(term_size(p), 6))
+
+
+def _work(p: Process, mode: str, u: NameUniverse) -> Process:
+    """The term whose factors are read: `p`, or in weak mode its verified
+    stutter-free representative."""
+    if not is_replication_free(p):
+        raise NotFinite("decomposition requires a replication-free term")
+    return stutter_free(p, u)[0] if mode == WEAK else p
+
+
+def _widened(u: NameUniverse, works, oracle: bool) -> NameUniverse:
+    """`u` (same input discipline, same pool as a prefix) knowing the free
+    names of `works` and holding the pool the split search needs."""
+    pool = u.fresh_pool
+    known = u.known.union(*map(free_names, works)) - set(pool)
+    need = max(_default_oracle(w).max_size for w in works) + 4 - len(pool) if oracle else 0
+    more = NameUniverse.for_terms(extra_known=known | set(pool), pool_size=max(0, need))
+    return NameUniverse(known, pool + more.fresh_pool, u.input_mode)
+
+
+def _factor_classes(term: Process, index: BehaviorIndex, mode: str, nil: int):
+    """(class id, factor) for each structural parallel factor of `term`
+    that is not equivalent to 0 (`nil` is the class id of 0)."""
+    return [
+        (cid, f)
+        for f in parallel_factors(term)
+        if (cid := index.class_in_mode(f, mode)) != nil
+    ]
+
+
+def _decompose(work: Process, mode: str, index: BehaviorIndex, oracle: bool):
+    """Decomposition of `work`, with the sorted class ids of its factors."""
+    nil = index.nil_class_in_mode(mode)
+    queue = _factor_classes(work, index, mode, nil)
+    final = []
+    while queue:
+        cid, f = queue.pop()
+        got = oracle and _split(f, mode, _default_oracle(f), index, _SPLIT_BUDGET)
+        if isinstance(got, SplitFound):
+            for part in got:
+                queue += _factor_classes(part, index, mode, nil)
+        else:
+            final.append((cid, f))
+    return Decomposition([f for _c, f in final], mode), sorted(c for c, _f in final)
 
 
 def decomposition(
     p: Process,
     mode: str = STRONG,
     u: NameUniverse | None = None,
-    oracle: TermUniverse | None | bool = None,
-    budget: int = 2_000_000,
+    oracle: bool = True,
 ) -> Decomposition:
     """Parallel factors of `p` modulo the chosen bisimilarity.
 
     Structural phase: narrow scopes, flatten top-level parallel
-    composition, drop factors equivalent to 0.  Each remaining factor is
-    then handed to find_split (over `oracle`, defaulting to a universe
-    over the factor's names at the input's size; pass oracle=False to
-    skip) and split further while the search finds anything.  In weak
-    mode the input is first replaced by its verified stutter-free
-    representative.
+    composition, drop factors equivalent to 0.  Unless `oracle` is False,
+    each remaining factor is then handed to the split search over a
+    universe of the factor's names at its size (at most 6) and split
+    further while the search finds anything.  In weak mode the input is
+    first replaced by its verified stutter-free representative.  All
+    classes come from one BehaviorIndex over `u` (default: the term's
+    names, early inputs).
     """
-    if not is_replication_free(p):
-        raise NotFinite("decomposition requires a replication-free term")
     if u is None:
         u = NameUniverse.for_terms(p)
-    work = p
-    if mode == WEAK:
-        work, _report = stutter_free(p, u)
-    nil_free = []
-    todo = parallel_factors(work)
-    index = BehaviorIndex(
-        NameUniverse.for_terms(work, extra_known=u.known, pool_size=len(u.fresh_pool))
-    )
-    nil = index.nil_class_in_mode(mode)
-    while todo:
-        f = todo.pop(0)
-        if index.class_in_mode(f, mode) == nil:
-            continue
-        sub = parallel_factors(f)
-        if len(sub) > 1 or sub[0] != f:
-            todo = sub + todo
-            continue
-        nil_free.append(f)
-
-    if oracle is False:
-        return Decomposition(nil_free, mode)
-
-    final = []
-    queue = nil_free
-    while queue:
-        f = queue.pop(0)
-        tu = oracle if isinstance(oracle, TermUniverse) else _default_oracle(f)
-        got = find_split(f, mode, tu, budget=budget)
-        if isinstance(got, SplitFound):
-            for part in (got.left, got.right):
-                if index.class_in_mode(part, mode) != nil:
-                    queue.extend(
-                        x
-                        for x in parallel_factors(part)
-                        if index.class_in_mode(x, mode) != nil
-                    )
-        else:
-            final.append(f)
-    return Decomposition(final, mode)
+    work = _work(p, mode, u)
+    index = BehaviorIndex(_widened(u, [work], oracle))
+    return _decompose(work, mode, index, oracle)[0]
 
 
 def multiset_eq_mod_bisim(d1: Decomposition, d2: Decomposition) -> bool:
-    """Perfect matching of factors under the declared bisimilarity."""
+    """Perfect matching of factors under the declared bisimilarity.
+
+    Bisimilarity is an equivalence, so a matching exists exactly when the
+    multisets of the factors' class ids from one index coincide.
+    """
     if d1.mode != d2.mode:
         raise ValueError("decompositions compare only within one mode")
-    if len(d1.factors) != len(d2.factors):
-        return False
-    if not d1.factors:
-        return True
-    mode = d1.mode
-    left = list(d1.factors)
-    right = list(d2.factors)
-    cache: dict[tuple[Process, Process], bool] = {}
-
-    def related(a: Process, b: Process) -> bool:
-        key = (a, b)
-        got = cache.get(key)
-        if got is None:
-            got = bisim(a, b, mode)[0]
-            cache[key] = got
-        return got
-
-    assignment = [-1] * len(right)
-
-    def try_assign(i: int, taken: set) -> bool:
-        if i == len(left):
-            return True
-        for j in range(len(right)):
-            if j in taken or not related(left[i], right[j]):
-                continue
-            taken.add(j)
-            if try_assign(i + 1, taken):
-                assignment[j] = i
-                return True
-            taken.remove(j)
-        return False
-
-    return try_assign(0, set())
+    index = BehaviorIndex(NameUniverse.for_terms(*d1.factors, *d2.factors))
+    ids = [sorted(index.class_in_mode(f, d.mode) for f in d) for d in (d1, d2)]
+    return ids[0] == ids[1]
 
 
 class Verdict(NamedTuple):
@@ -778,17 +765,27 @@ def verify_upd(
     q: Process,
     mode: str = STRONG,
     u: NameUniverse | None = None,
-    oracle: TermUniverse | None | bool = None,
+    oracle: bool = True,
 ) -> Verdict:
-    """If p and q are mode-equivalent, their factor multisets must match."""
+    """If p and q are mode-equivalent, their factor multisets must match.
+
+    Both decompositions, the equivalence of p and q and the comparison of
+    factor class ids all read one BehaviorIndex over `u` (default: the
+    terms' names, early inputs), widened as in `decomposition`.
+    """
     if u is None:
         u = NameUniverse.for_terms(p, q)
-    equivalent = bisim(p, q, mode, u)[0]
-    dp = decomposition(p, mode, u, oracle=oracle)
-    dq = decomposition(q, mode, u, oracle=oracle)
-    if not equivalent:
+    works = [_work(p, mode, u), _work(q, mode, u)]
+    index = BehaviorIndex(_widened(u, works, oracle))
+    (dp, ids_p), (dq, ids_q) = (_decompose(w, mode, index, oracle) for w in works)
+    # Both roots enter at the shared pool cursor, as in `bisim`.
+    k0 = max(start_index(t, index.universe) for t in (p, q))
+    cp, cq = (index.class_at(t, k0) for t in (p, q))
+    if mode == WEAK:
+        cp, cq = index.weak_id(cp), index.weak_id(cq)
+    if cp != cq:
         return Verdict(False, None, dp, dq, "terms are not equivalent; no claim")
-    matched = multiset_eq_mod_bisim(dp, dq)
+    matched = ids_p == ids_q
     detail = "factor multisets match" if matched else "factor multisets differ"
     return Verdict(True, matched, dp, dq, detail)
 
@@ -801,6 +798,7 @@ class SweepReport(NamedTuple):
     mode: str
     names: tuple
     max_size: int
+    input_mode: str
     term_count: int
     class_count: int
     classes_with_pairs: int
@@ -814,7 +812,8 @@ class SweepReport(NamedTuple):
     def to_json_dict(self):
         return {
             "mode": self.mode,
-            "universe": {"names": list(self.names), "max_size": self.max_size},
+            "universe": {"names": list(self.names), "max_size": self.max_size,
+                         "inputs": self.input_mode},
             "terms": self.term_count,
             "classes": self.class_count,
             "classes_with_pairs": self.classes_with_pairs,
@@ -828,7 +827,6 @@ def upd_sweep(
     max_size: int,
     mode: str = STRONG,
     input_mode: str | None = None,
-    allow_restriction: bool = True,
 ) -> SweepReport:
     """Unique-decomposition consistency over a whole term universe.
 
@@ -846,15 +844,10 @@ def upd_sweep(
     if input_mode is None:
         input_mode = "fresh-only" if mode == WEAK else "early"
     clear_transition_cache()
-    tu = TermUniverse(names, max_size, allow_restriction=allow_restriction)
-    pool = []
-    i = 0
-    while len(pool) < max_size + 2:
-        w = f"w{i}"
-        i += 1
-        if w not in tu.names:
-            pool.append(w)
-    u = NameUniverse(frozenset(tu.names), pool, input_mode)
+    tu = TermUniverse(names, max_size)
+    u = NameUniverse.for_terms(
+        extra_known=tu.names, pool_size=max_size + 2, input_mode=input_mode
+    )
     index = BehaviorIndex(u)
     sweep = _Sweep(index, mode)
 
@@ -869,6 +862,7 @@ def upd_sweep(
         mode=mode,
         names=tuple(tu.names),
         max_size=max_size,
+        input_mode=input_mode,
         term_count=term_count,
         class_count=len(sweep.member_count),
         classes_with_pairs=with_pairs,
@@ -913,8 +907,8 @@ class _Sweep:
                     }
                 )
                 return
-        fids = (index.class_in_mode(f, self.mode) for f in parallel_factors(rep))
-        key = tuple(sorted(f for f in fids if f != self.nil))
+        factors = _factor_classes(rep, index, self.mode, self.nil)
+        key = tuple(sorted(cid for cid, _f in factors))
         self.member_count[cid] = self.member_count.get(cid, 0) + 1
         by_class = self.factorizations.setdefault(cid, {})
         if key not in by_class:

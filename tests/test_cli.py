@@ -80,18 +80,46 @@ def test_decompose_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["factors"] == ["a!a.0", "b!b.0"]
     assert payload["results"]["verified_equivalent"] is True
+    # The split search is capped at the term's size, and at 6.
+    assert payload["results"]["oracle_universe"] == {"names": ["a", "b"], "max_size": 5}
+    assert run(["--json", "decompose", "a!a.b!b.0 + b!b.a!a.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["oracle_universe"] == {"names": ["a", "b"], "max_size": 6}
 
 
 def test_verify_upd_pair_command(capsys):
     assert run(["verify-upd", "a!b.0 | c!d.0", "c!d.0 | a!b.0"]) == 0
 
 
+def test_verify_upd_pair_honours_input_discipline(capsys):
+    pair = ["a?(x).[x=a]b!b.0 | c!c.0", "a?(x).0 | c!c.0"]
+    assert run(["--inputs", "fresh-only", "verify-upd", "--mode", "weak", *pair]) == 0
+    out = capsys.readouterr().out
+    assert "equivalent: True" in out and "unique: True" in out
+
+
 def test_verify_upd_sweep_command(capsys):
-    assert run(
-        ["--json", "verify-upd", "--sweep", "--names", "a,b", "--max-size", "3"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["results"]["violations"] == []
+    for mode, inputs in (("strong", "early"), ("weak", "fresh-only")):
+        argv = ["--json", "verify-upd", "--sweep", "--mode", mode,
+                "--names", "a,b", "--max-size", "3"]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["violations"] == []
+        # The report names the discipline the sweep ran in.
+        assert payload["universe"]["inputs"] == inputs
+        assert payload["results"]["universe"]["inputs"] == inputs
+
+
+def test_adjacent_restrictions_decompose_promptly():
+    # Narrowing once swapped these binders back and forth on every call,
+    # so decomposition never settled.
+    term = "c!b.new x.new y.y!x.0"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["decompose", "--no-oracle", term], ["verify-upd", term, term]):
+        done = subprocess.run([sys.executable, "-m", "piwb.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
 
 
 def test_norm_inconclusive_exit_code(capsys):

@@ -1,10 +1,13 @@
-from hypothesis import given, settings
+import random
+
+from hypothesis import example, given, settings
 import pytest
 
 from piwb import (
     Aborted,
     NIL,
     NameUniverse,
+    NormalizationIncomplete,
     Par,
     STRONG,
     WEAK,
@@ -27,8 +30,10 @@ from piwb.decompose import (
     SplitFound,
     TermUniverse,
 )
+from piwb.gen import TermGen
+from piwb.normalize import expand_hnf
 
-from conftest import processes
+from conftest import processes, tau_pad
 
 
 def test_scope_narrow_unused_binder_on_par():
@@ -49,6 +54,14 @@ def test_scope_narrow_swap_enables_push():
     # The outer binder dives under the inner one to reach its factor.
     got = scope_narrow(parse("new z.new w.(w!a.0 | z!b.0)"))
     assert alpha_equivalent(got, parse("new w.(w!a.0 | new z.z!b.0)"))
+
+
+@given(processes(max_size=10))
+@example(parse("new x.new y.y!x.0"))
+@settings(max_examples=200, deadline=None)
+def test_scope_narrow_idempotent(p):
+    once = scope_narrow(p)
+    assert scope_narrow(once) == once
 
 
 @given(processes(max_size=6))
@@ -176,6 +189,106 @@ def test_verify_upd_expansion_pair():
 def test_verify_upd_inequivalent_pair_makes_no_claim():
     v = verify_upd(parse("a!a.0"), parse("b!b.0"), STRONG)
     assert not v.equivalent and v.unique is None
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_verify_upd_fresh_only_factors_compared_in_that_discipline(mode):
+    # A received name is never `a` under fresh-only inputs, so the guarded
+    # factor behaves as `a?(x).0`; under early inputs it does not.
+    p = parse("a?(x).[x=a]b!b.0 | c!c.0")
+    q = parse("a?(x).0 | c!c.0")
+    fresh = NameUniverse.for_terms(p, q, input_mode="fresh-only")
+    v = verify_upd(p, q, mode, fresh)
+    assert v.equivalent and v.unique, v.detail
+    assert not verify_upd(p, q, mode, oracle=False).equivalent
+
+
+@pytest.mark.parametrize("mode, most", [(STRONG, 1), (WEAK, 3)])
+def test_verify_upd_builds_one_index_per_stutter_free_call(mode, most, monkeypatch):
+    made = []
+    init = BehaviorIndex.__init__
+
+    def counting_init(self, universe):
+        made.append(universe)
+        init(self, universe)
+
+    monkeypatch.setattr(BehaviorIndex, "__init__", counting_init)
+    samples = [
+        ("a!a.0 | b!b.0", "a!a.b!b.0 + b!b.a!a.0"),
+        ("tau.(a!a.0 | b!b.0)", "a!a.0 | b!b.0"),
+        ("new u0.(a!a.0 | u0!b.0)", "a!a.0"),
+    ]
+    for left, right in samples:
+        made.clear()
+        verify_upd(parse(left), parse(right), mode)
+        assert 1 <= len(made) <= most, (left, right)
+
+
+def _pairwise_matching(d1, d2, u_for):
+    """Reference: the backtracking perfect matching of factors under
+    pairwise `bisim` that multiset_eq_mod_bisim once ran."""
+    left, right = list(d1.factors), list(d2.factors)
+    if len(left) != len(right):
+        return False
+
+    def try_assign(i, taken):
+        if i == len(left):
+            return True
+        for j, r in enumerate(right):
+            if j in taken or not bisim(left[i], r, d1.mode, u_for(left[i], r))[0]:
+                continue
+            if try_assign(i + 1, taken | {j}):
+                return True
+        return False
+
+    return try_assign(0, frozenset())
+
+
+def _differential_pairs():
+    gen = TermGen(11, ("a", "b", "c"))
+    rng = random.Random(11)
+    pairs = []
+    for i in range(120):
+        p = gen.term(3 + i % 4)
+        kind = i % 4
+        if kind == 0:
+            q = gen.term(3 + i % 4)
+        elif kind == 1:
+            q = Par(p.right, p.left) if isinstance(p, Par) else Par(NIL, p)
+        elif kind == 2:
+            q = expand_hnf(p).to_process()
+        else:
+            q = tau_pad(p, rng)
+        pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+@pytest.mark.parametrize("inputs", ["early", "fresh-only"])
+def test_factor_multisets_match_pairwise_reference(mode, inputs):
+    seen_multiset, seen_equivalent = set(), set()
+    unverified = 0
+    for p, q in _differential_pairs():
+        u = NameUniverse.for_terms(p, q, input_mode=inputs)
+        try:
+            v = verify_upd(p, q, mode, u, oracle=False)
+        except NormalizationIncomplete:
+            unverified += 1  # weak mode, early inputs: reported, no verdict
+            continue
+        assert v.equivalent == bisim(p, q, mode, u)[0]
+        seen_equivalent.add(v.equivalent)
+        if v.equivalent:
+            want = _pairwise_matching(
+                v.left, v.right,
+                lambda a, b: NameUniverse.for_terms(a, b, input_mode=inputs),
+            )
+            assert v.unique == want, (p, q)
+        got = multiset_eq_mod_bisim(v.left, v.right)
+        assert got == _pairwise_matching(v.left, v.right, NameUniverse.for_terms)
+        seen_multiset.add(got)
+    assert unverified <= 4
+    assert seen_multiset == {True, False}
+    assert seen_equivalent == {True, False}
 
 
 @given(processes(max_size=6))
