@@ -19,7 +19,6 @@ from . import __version__
 from .decompose import (
     NO_SPLIT,
     TermUniverse,
-    _default_oracle,
     decomposition,
     find_split,
     upd_sweep,
@@ -172,18 +171,14 @@ def cmd_normalize(args, t0):
 def cmd_decompose(args, t0):
     p = parse(args.term)
     u = _universe(args, p)
-    d = decomposition(p, args.mode, u, oracle=not args.no_oracle)
+    d = decomposition(p, args.mode, u)
     composed_ok = bisim(d.composed(), p, args.mode, _universe(args, p, d.composed()))[0]
     results = {
         "input": pretty(p),
         "mode": args.mode,
         "factors": d.to_json_dict()["factors"],
         "verified_equivalent": composed_ok,
-        "oracle_universe": None,
     }
-    if not args.no_oracle:
-        tu = _default_oracle(p)
-        results["oracle_universe"] = {"names": list(tu.names), "max_size": tu.max_size}
     code = 0 if composed_ok else 1
     return _report(args, "decompose", [pretty(p)], results, t0), code
 
@@ -425,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("decompose", help="parallel factors")
     s.add_argument("--mode", choices=[STRONG, WEAK], default=STRONG)
-    s.add_argument("--no-oracle", action="store_true", help="structural only")
     s.add_argument("term")
     s.set_defaults(func=cmd_decompose)
 

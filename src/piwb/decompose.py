@@ -1,11 +1,11 @@
-"""Parallel decomposition, bounded indecomposability search, and UPD checks.
+"""Parallel decomposition, exact split search, and UPD checks.
 
 Decomposition is structural first: restrictions are narrowed, top-level
 parallel compositions flattened, and factors equivalent to 0 dropped.
 Whether a remaining factor secretly splits (for instance a sum that is
-bisimilar to a parallel composition) is the job of `find_split`, an
-exhaustive bounded search over a term universe; `decomposition` runs it by
-default so that equivalent terms decompose consistently.
+bisimilar to a parallel composition) is then decided exactly, from the
+factor's own derivatives (`_split`).  `find_split` is the independent
+bounded reference: an exhaustive search of a `TermUniverse`.
 
 `decomposition` and `verify_upd` read every class from one
 `BehaviorIndex` over the caller's universe and input discipline; factor
@@ -18,9 +18,8 @@ multisets.  It relies on `BehaviorIndex` (from `equivalence`), which
 assigns integer behaviour class ids by interning recursive transition
 signatures (exact for strong bisimilarity on the acyclic graphs of finite
 terms) and derives weak classes by interning saturated weak signatures
-over the strong quotient.  Both sweeps record each term as it is
-enumerated; weak sweeps first replace stuttering terms by
-`normalize.stutter_free_representative` over the same index.
+over the strong quotient.  Both sweeps record each term's structural
+factors as it is enumerated.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import NamedTuple, Optional
 
 from .equivalence import STRONG, WEAK, BehaviorIndex
 from .errors import Aborted, NotFinite
-from .normalize import stutter_free, stutter_free_representative
 from .parser import _render
 from .semantics import (
     NameUniverse,
@@ -57,6 +55,7 @@ from .syntax import (
     TAU,
     TAU_ACT,
     alpha_canonical,
+    binder_count,
     free_names,
     is_replication_free,
     term_size,
@@ -474,15 +473,12 @@ def _observed(index: BehaviorIndex, root: int) -> _Observed:
     return go(root)
 
 
-_SPLIT_BUDGET = 2_000_000
-
-
 def find_split(
     p: Process,
     mode: str,
     tu: TermUniverse,
     u: NameUniverse | None = None,
-    budget: int = _SPLIT_BUDGET,
+    budget: int = 2_000_000,
 ):
     """Search `tu` exhaustively for q, r with q | r equivalent to `p`.
 
@@ -502,8 +498,9 @@ def find_split(
       must be positive and, in strong mode, sum to depth(p) exactly by
       depth additivity.
 
-    Raises Aborted with a progress count when enumeration plus pair
-    checking exceeds `budget` steps.
+    A given universe `u` must know `tu.names` and hold a pool of at least
+    `tu.max_size + 4` names.  Raises Aborted with a progress count when
+    enumeration plus pair checking exceeds `budget` steps.
     """
     if not is_replication_free(p):
         raise NotFinite("split search requires a replication-free term")
@@ -511,13 +508,7 @@ def find_split(
         u = NameUniverse.for_terms(
             p, extra_known=tu.names, pool_size=tu.max_size + 4
         )
-    return _split(p, mode, tu, BehaviorIndex(u), budget)
-
-
-def _split(p: Process, mode: str, tu: TermUniverse, index: BehaviorIndex, budget: int):
-    """find_split's search, classifying through `index`, whose universe
-    must know `tu.names` and hold a pool of at least `tu.max_size + 4`."""
-    u = index.universe
+    index = BehaviorIndex(u)
     target = index.class_in_mode(p, mode)
     nil = index.nil_class_in_mode(mode)
     if target == nil:
@@ -620,15 +611,17 @@ def _split(p: Process, mode: str, tu: TermUniverse, index: BehaviorIndex, budget
 
 class Decomposition:
     """Multiset of alpha-canonical factors; their composition is equivalent
-    to the source in the declared mode."""
+    to the source in the declared mode under the recorded input
+    discipline."""
 
-    __slots__ = ("factors", "mode")
+    __slots__ = ("factors", "mode", "input_mode")
 
-    def __init__(self, factors, mode: str):
+    def __init__(self, factors, mode: str, input_mode: str = "early"):
         canon = [alpha_canonical(f) for f in factors]
         canon.sort(key=lambda f: (term_size(f), _render(f, 0)))
         self.factors = tuple(canon)
         self.mode = mode
+        self.input_mode = input_mode
 
     def __len__(self):
         return len(self.factors)
@@ -655,29 +648,97 @@ class Decomposition:
         return f"Decomposition[{self.mode}]{{{inner}}}"
 
 
-def _default_oracle(p: Process) -> TermUniverse:
-    # Split parts are almost always smaller than the composed term; the cap
-    # keeps the default search affordable and stays an explicit bounded
-    # claim.  Candidates mention only these names.
-    return TermUniverse(free_names(p), max_size=min(term_size(p), 6))
-
-
-def _work(p: Process, mode: str, u: NameUniverse) -> Process:
-    """The term whose factors are read: `p`, or in weak mode its verified
-    stutter-free representative."""
-    if not is_replication_free(p):
-        raise NotFinite("decomposition requires a replication-free term")
-    return stutter_free(p, u)[0] if mode == WEAK else p
-
-
-def _widened(u: NameUniverse, works, oracle: bool) -> NameUniverse:
+def _widened(u: NameUniverse, terms) -> NameUniverse:
     """`u` (same input discipline, same pool as a prefix) knowing the free
-    names of `works` and holding the pool the split search needs."""
+    names of the finite `terms`, with a pool of twice their most binders
+    plus 2: each pool name a run takes consumes a binder, so no
+    composition of two split candidates (`_split`) exhausts it."""
+    if not all(map(is_replication_free, terms)):
+        raise NotFinite("decomposition requires a replication-free term")
     pool = u.fresh_pool
-    known = u.known.union(*map(free_names, works)) - set(pool)
-    need = max(_default_oracle(w).max_size for w in works) + 4 - len(pool) if oracle else 0
+    known = u.known.union(*map(free_names, terms)) - set(pool)
+    need = 2 * max(map(binder_count, terms)) + 2 - len(pool)
     more = NameUniverse.for_terms(extra_known=known | set(pool), pool_size=max(0, need))
     return NameUniverse(known, pool + more.fresh_pool, u.input_mode)
+
+
+def _summarize(index: BehaviorIndex, mode: str, table: list) -> list:
+    """Extend `table` to every strong class id of `index` with (measure,
+    labels), both invariant under the mode's bisimilarity: depth and
+    initial actions (strong), or the longest visible trace and the weakly
+    initial visible actions (weak).  Signatures name only smaller ids."""
+    for cid in range(len(table), len(index.signatures)):
+        sig = index.signatures[cid]
+        if mode == STRONG:
+            table.append((index.depths[cid], frozenset(a for a, _c in sig)))
+            continue
+        labels: set = set()
+        for a, c in sig:
+            labels.update(table[c][1] if a == TAU_ACT else (a,))
+        vis = max(((a != TAU_ACT) + table[c][0] for a, c in sig), default=0)
+        table.append((vis, frozenset(labels)))
+    return table
+
+
+def _split(p: Process, mode: str, index: BehaviorIndex, table: list):
+    """Parts (q, r), neither equivalent to 0, with q | r equivalent to
+    `p`, or None when there are none; `table` caches `_summarize`.
+
+    Candidates come from `p`'s derivatives.  If p ~ q | r, let r run to a
+    state r' with no transitions; p follows to some p' = (t, k) with
+    p' ~ q | r'.  Restriction and `|` preserve both bisimilarities, so
+    with W the pool names t mentions (taken by r's run, unknown to q),
+    new W.t ~ new W.(q | r') ~ q | new W.r' ~ q.  So every factor is
+    equivalent to a `new W.t` classified at cursor 0, and one candidate
+    per class of those makes the search complete; a pair counts only if
+    class(q | r) == class(p), so every split is sound.  In weak mode r'
+    is weakly equivalent to 0 too, so the argument is the same.
+    """
+    u = index.universe
+    pool = frozenset(u.fresh_pool)
+    candidates: dict[int, tuple[int, Process]] = {}
+    root = state_for(p, u)
+    seen, stack = {root}, [root]
+    while stack:
+        state = stack.pop()
+        t = state[0]
+        for z in sorted(free_names(t) & pool):
+            t = Restrict(z, t)
+        strong = index.class_at(t, 0)
+        cid = strong if mode == STRONG else index.weak_id(strong)
+        candidates.setdefault(cid, (strong, t))
+        for _a, q in derive_steps(state, u):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    _summarize(index, mode, table)
+    measure_p, labels_p = table[index.class_of(p)]
+    # Necessary conditions, checked before classifying a composition:
+    # * Depth is additive over `|` (a communication weighs what its two
+    #   halves weigh), and so is the longest visible trace (interleaving
+    #   reaches the sum; each visible step of q | r is one of a part's).
+    #   A part not equivalent to 0 has measure at least 1.
+    # * A part's (weakly) initial actions are the composition's, so p's.
+    # * Strong only: a visible initial action of q | r is one of q's or
+    #   r's.  Weakly, a communication between the parts may enable one.
+    by_measure: dict[int, list] = {}
+    for strong, t in candidates.values():
+        measure, labels = table[strong]
+        if 1 <= measure < measure_p and labels <= labels_p:
+            by_measure.setdefault(measure, []).append((labels, t))
+    covered = labels_p - {TAU_ACT} if mode == STRONG else frozenset()
+    target = index.class_in_mode(p, mode)
+    for m in sorted(by_measure):
+        if 2 * m > measure_p:
+            break
+        partners = by_measure.get(measure_p - m, [])
+        for i, (labels_q, q) in enumerate(by_measure[m]):
+            for labels_r, r in partners[i if 2 * m == measure_p else 0 :]:
+                if covered <= labels_q | labels_r and (
+                    index.class_in_mode(Par(q, r), mode) == target
+                ):
+                    return q, r
+    return None
 
 
 def _factor_classes(term: Process, index: BehaviorIndex, mode: str, nil: int):
@@ -690,55 +751,56 @@ def _factor_classes(term: Process, index: BehaviorIndex, mode: str, nil: int):
     ]
 
 
-def _decompose(work: Process, mode: str, index: BehaviorIndex, oracle: bool):
-    """Decomposition of `work`, with the sorted class ids of its factors."""
+def _decompose(p: Process, mode: str, index: BehaviorIndex):
+    """Decomposition of `p`, with the sorted class ids of its factors."""
     nil = index.nil_class_in_mode(mode)
-    queue = _factor_classes(work, index, mode, nil)
+    queue = _factor_classes(p, index, mode, nil)
+    table: list = []
     final = []
     while queue:
         cid, f = queue.pop()
-        got = oracle and _split(f, mode, _default_oracle(f), index, _SPLIT_BUDGET)
-        if isinstance(got, SplitFound):
+        got = _split(f, mode, index, table)
+        if got is None:
+            final.append((cid, f))
+        else:
             for part in got:
                 queue += _factor_classes(part, index, mode, nil)
-        else:
-            final.append((cid, f))
-    return Decomposition([f for _c, f in final], mode), sorted(c for c, _f in final)
+    factors = Decomposition([f for _c, f in final], mode, index.universe.input_mode)
+    return factors, sorted(c for c, _f in final)
 
 
 def decomposition(
     p: Process,
     mode: str = STRONG,
     u: NameUniverse | None = None,
-    oracle: bool = True,
 ) -> Decomposition:
     """Parallel factors of `p` modulo the chosen bisimilarity.
 
     Structural phase: narrow scopes, flatten top-level parallel
-    composition, drop factors equivalent to 0.  Unless `oracle` is False,
-    each remaining factor is then handed to the split search over a
-    universe of the factor's names at its size (at most 6) and split
-    further while the search finds anything.  In weak mode the input is
-    first replaced by its verified stutter-free representative.  All
-    classes come from one BehaviorIndex over `u` (default: the term's
-    names, early inputs).
+    composition, drop factors equivalent to 0.  Each remaining factor is
+    then split while its derivatives hold two parts that compose to it
+    (`_split`, exact).  All classes come from one BehaviorIndex over `u`
+    (default: the term's names, early inputs).
     """
     if u is None:
         u = NameUniverse.for_terms(p)
-    work = _work(p, mode, u)
-    index = BehaviorIndex(_widened(u, [work], oracle))
-    return _decompose(work, mode, index, oracle)[0]
+    return _decompose(p, mode, BehaviorIndex(_widened(u, [p])))[0]
 
 
 def multiset_eq_mod_bisim(d1: Decomposition, d2: Decomposition) -> bool:
-    """Perfect matching of factors under the declared bisimilarity.
+    """Perfect matching of factors under the declared bisimilarity, in
+    the input discipline the decompositions were computed in.
 
     Bisimilarity is an equivalence, so a matching exists exactly when the
     multisets of the factors' class ids from one index coincide.
     """
     if d1.mode != d2.mode:
         raise ValueError("decompositions compare only within one mode")
-    index = BehaviorIndex(NameUniverse.for_terms(*d1.factors, *d2.factors))
+    if d1.input_mode != d2.input_mode:
+        raise ValueError("decompositions compare only within one input discipline")
+    index = BehaviorIndex(
+        NameUniverse.for_terms(*d1.factors, *d2.factors, input_mode=d1.input_mode)
+    )
     ids = [sorted(index.class_in_mode(f, d.mode) for f in d) for d in (d1, d2)]
     return ids[0] == ids[1]
 
@@ -765,7 +827,6 @@ def verify_upd(
     q: Process,
     mode: str = STRONG,
     u: NameUniverse | None = None,
-    oracle: bool = True,
 ) -> Verdict:
     """If p and q are mode-equivalent, their factor multisets must match.
 
@@ -775,9 +836,8 @@ def verify_upd(
     """
     if u is None:
         u = NameUniverse.for_terms(p, q)
-    works = [_work(p, mode, u), _work(q, mode, u)]
-    index = BehaviorIndex(_widened(u, works, oracle))
-    (dp, ids_p), (dq, ids_q) = (_decompose(w, mode, index, oracle) for w in works)
+    index = BehaviorIndex(_widened(u, [p, q]))
+    (dp, ids_p), (dq, ids_q) = (_decompose(t, mode, index) for t in (p, q))
     # Both roots enter at the shared pool cursor, as in `bisim`.
     k0 = max(start_index(t, index.universe) for t in (p, q))
     cp, cq = (index.class_at(t, k0) for t in (p, q))
@@ -838,8 +898,9 @@ def upd_sweep(
     multiset_eq_mod_bisim over equivalent pairs, computed class-wise.
 
     In weak mode terms are swept in fresh-only input discipline by
-    default, and every term whose class can reach a stuttering step is
-    first replaced by an index-verified stutter-free representative.
+    default.  `normalization_failures` stays in the report for its
+    readers and is always empty: no term is rewritten before its factors
+    are read.
     """
     if input_mode is None:
         input_mode = "fresh-only" if mode == WEAK else "early"
@@ -867,7 +928,7 @@ def upd_sweep(
         class_count=len(sweep.member_count),
         classes_with_pairs=with_pairs,
         violations=violations,
-        normalization_failures=sweep.normalization_failures,
+        normalization_failures=[],
     )
 
 
@@ -885,9 +946,7 @@ class _Sweep:
         self.member_count: dict[int, int] = {}
         self.factorizations: dict[int, dict[tuple[int, ...], str]] = {}
         self.class_depth: dict[int, int] = {}
-        self.normalization_failures: list = []
         self.nil = index.nil_class_in_mode(mode)
-        self._rep_memo: dict[Process, Process] = {}
 
     def add_term(self, term: Process):
         index = self.index
@@ -895,19 +954,7 @@ class _Sweep:
         cid = strong if self.mode == STRONG else index.weak_id(strong)
         if cid == self.nil:
             return
-        rep = term
-        if self.mode == WEAK and index.stutters(strong):
-            rep = stutter_free_representative(term, index, self._rep_memo)
-            rep_cid = index.class_of(rep)
-            if index.weak_id(rep_cid) != cid or index.stutters(rep_cid):
-                self.normalization_failures.append(
-                    {
-                        "term": _render(term, 0),
-                        "error": "stutter-free normalization could not be verified",
-                    }
-                )
-                return
-        factors = _factor_classes(rep, index, self.mode, self.nil)
+        factors = _factor_classes(term, index, self.mode, self.nil)
         key = tuple(sorted(cid for cid, _f in factors))
         self.member_count[cid] = self.member_count.get(cid, 0) + 1
         by_class = self.factorizations.setdefault(cid, {})

@@ -109,20 +109,31 @@ class BehaviorIndex:
         avoid = self.universe.all_names
         return self._explore((hashcons(alpha_canonical(term, avoid=avoid)), consumed))
 
-    def _explore(self, state) -> int:
-        got = self._class_of.get(state)
+    def _explore(self, root) -> int:
+        class_of = self._class_of
+        got = class_of.get(root)
         if got is not None:
             return got
-        # Each state is derived exactly once (this memo), so the global
-        # transition cache would only duplicate memory here.  Successors
-        # come back interned, so states share their subterms.
-        cid = self.intern(
-            frozenset(
-                (a, self._explore(q)) for a, q in derive_steps(state, self.universe)
-            )
-        )
-        self._class_of[state] = cid
-        return cid
+        # Post-order on an explicit stack (the graph is acyclic), so deep
+        # terms need no deep recursion.  Each state is derived once (this
+        # memo), so the global transition cache would only duplicate
+        # memory.  Successors come back interned and share subterms.
+        u = self.universe
+        steps = derive_steps(root, u)
+        stack = [(root, steps, iter(steps))]
+        while stack:
+            state, steps, todo = stack[-1]
+            for _a, q in todo:
+                if q not in class_of:
+                    succ = derive_steps(q, u)
+                    stack.append((q, succ, iter(succ)))
+                    break
+            else:
+                stack.pop()
+                class_of[state] = self.intern(
+                    frozenset((a, class_of[q]) for a, q in steps)
+                )
+        return class_of[root]
 
     def intern(self, sig: frozenset) -> int:
         """Class id of a state whose moves are `sig`, a set of (action,

@@ -10,10 +10,10 @@ checking and display rather than re-parsing.
 A stuttering transition is an internal step between weakly bisimilar
 states.  `stutter_free_representative` rewrites a term into a weakly
 bisimilar one from which no stuttering transition is reachable, guided
-by the weak classes and stuttering flags of a `BehaviorIndex`; it is the
-one construction behind both `stutter_free` and the weak UPD sweep.
-`stutter_free` verifies its output through the same index and raises
-NormalizationIncomplete instead of claiming an unverified result.
+by the weak classes and stuttering flags of a `BehaviorIndex`.
+`stutter_free` builds on it, verifies its output through the same index
+and raises NormalizationIncomplete instead of claiming an unverified
+result.
 """
 
 from __future__ import annotations
@@ -215,9 +215,8 @@ def stutter_free_representative(term: Process, index: BehaviorIndex, memo: dict)
     whole term replaces it (depth strictly decreases), and otherwise
     every continuation is normalized in place.
 
-    Unverified: callers check the result's weak class and stuttering
-    through `index`.  `memo` maps terms to results and may be shared by
-    calls over the same index.
+    Unverified: `stutter_free` checks the result's weak class and
+    stuttering through `index`.  `memo` maps terms to results.
     """
     got = memo.get(term)
     if got is not None:

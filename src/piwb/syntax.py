@@ -139,6 +139,38 @@ class Process:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        # Structural, without recursion so deep terms compare: single
+        # children are followed in place, right branches wait on a stack,
+        # and a shared subtree ends a descent.
+        a, b = self, other
+        pending = []
+        while True:
+            if a is not b:
+                cls = type(a)
+                if type(b) is not cls or a._hash != b._hash:
+                    return False
+                if cls is Prefixed:
+                    if a.prefix != b.prefix:
+                        return False
+                    a, b = a.cont, b.cont
+                    continue
+                if cls is Sum or cls is Par:
+                    pending.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if cls is Restrict:
+                    if a.binder != b.binder:
+                        return False
+                    a, b = a.body, b.body
+                    continue
+                if cls is Repl:
+                    a, b = a.body, b.body
+                    continue
+            if not pending:
+                return True
+            a, b = pending.pop()
+
 
 class Nil(Process):
     __slots__ = ()
@@ -146,11 +178,6 @@ class Nil(Process):
     def __init__(self):
         object.__setattr__(self, "_hash", hash("nil-process"))
         object.__setattr__(self, "_fn", frozenset())
-
-    def __eq__(self, other):
-        return type(other) is Nil
-
-    __hash__ = Process.__hash__
 
     def __repr__(self):
         return "Nil"
@@ -168,16 +195,6 @@ class Prefixed(Process):
         object.__setattr__(self, "_hash", hash(("pre", prefix._hash, cont._hash)))
         object.__setattr__(self, "_fn", None)
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Prefixed
-            and self._hash == other._hash
-            and self.prefix == other.prefix
-            and self.cont == other.cont
-        )
-
-    __hash__ = Process.__hash__
-
     def __repr__(self):
         return f"Prefixed({self.prefix!r}, {self.cont!r})"
 
@@ -190,16 +207,6 @@ class Sum(Process):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_hash", hash(("sum", left._hash, right._hash)))
         object.__setattr__(self, "_fn", None)
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Sum
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Process.__hash__
 
     def __repr__(self):
         return f"Sum({self.left!r}, {self.right!r})"
@@ -214,16 +221,6 @@ class Par(Process):
         object.__setattr__(self, "_hash", hash(("par", left._hash, right._hash)))
         object.__setattr__(self, "_fn", None)
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Par
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Process.__hash__
-
     def __repr__(self):
         return f"Par({self.left!r}, {self.right!r})"
 
@@ -237,16 +234,6 @@ class Restrict(Process):
         object.__setattr__(self, "_hash", hash(("res", binder, body._hash)))
         object.__setattr__(self, "_fn", None)
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Restrict
-            and self._hash == other._hash
-            and self.binder == other.binder
-            and self.body == other.body
-        )
-
-    __hash__ = Process.__hash__
-
     def __repr__(self):
         return f"Restrict({self.binder!r}, {self.body!r})"
 
@@ -258,11 +245,6 @@ class Repl(Process):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash(("repl", body._hash)))
         object.__setattr__(self, "_fn", None)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Repl and self.body == other.body)
-
-    __hash__ = Process.__hash__
 
     def __repr__(self):
         return f"Repl({self.body!r})"

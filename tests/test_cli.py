@@ -80,11 +80,9 @@ def test_decompose_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["factors"] == ["a!a.0", "b!b.0"]
     assert payload["results"]["verified_equivalent"] is True
-    # The split search is capped at the term's size, and at 6.
-    assert payload["results"]["oracle_universe"] == {"names": ["a", "b"], "max_size": 5}
     assert run(["--json", "decompose", "a!a.b!b.0 + b!b.a!a.0"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["results"]["oracle_universe"] == {"names": ["a", "b"], "max_size": 6}
+    assert payload["results"]["factors"] == ["a!a.0", "b!b.0"]
 
 
 def test_verify_upd_pair_command(capsys):
@@ -94,6 +92,19 @@ def test_verify_upd_pair_command(capsys):
 def test_verify_upd_pair_honours_input_discipline(capsys):
     pair = ["a?(x).[x=a]b!b.0 | c!c.0", "a?(x).0 | c!c.0"]
     assert run(["--inputs", "fresh-only", "verify-upd", "--mode", "weak", *pair]) == 0
+    out = capsys.readouterr().out
+    assert "equivalent: True" in out and "unique: True" in out
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_verify_upd_factor_larger_than_six_operators(mode, capsys):
+    # The shared factor has 8 operators; the right-hand sum must still be
+    # split into it and `a!c.0`, whatever the factor's size.
+    pair = [
+        "b!b.(tau.a!b.0 + [c=c]tau.0) | a!c.0",
+        "b!b.(tau.a!b.0 + [c=c]tau.0 | a!c.0) + a!c.(b!b.(tau.a!b.0 + [c=c]tau.0) | 0)",
+    ]
+    assert run(["verify-upd", "--mode", mode, *pair]) == 0
     out = capsys.readouterr().out
     assert "equivalent: True" in out and "unique: True" in out
 
@@ -116,7 +127,7 @@ def test_adjacent_restrictions_decompose_promptly():
     term = "c!b.new x.new y.y!x.0"
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    for argv in (["decompose", "--no-oracle", term], ["verify-upd", term, term]):
+    for argv in (["decompose", term], ["verify-upd", term, term]):
         done = subprocess.run([sys.executable, "-m", "piwb.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=30)
         assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import random
+import time
 
 from hypothesis import example, given, settings
 import pytest
@@ -7,7 +8,6 @@ from piwb import (
     Aborted,
     NIL,
     NameUniverse,
-    NormalizationIncomplete,
     Par,
     STRONG,
     WEAK,
@@ -29,6 +29,7 @@ from piwb.decompose import (
     NO_SPLIT,
     SplitFound,
     TermUniverse,
+    parallel_factors,
 )
 from piwb.gen import TermGen
 from piwb.normalize import expand_hnf
@@ -127,6 +128,44 @@ def test_weak_decomposition_uses_stutter_free_representative():
     assert sorted(pretty(f) for f in d) == ["a!a.0", "b!b.0"]
 
 
+def test_decomposition_of_nine_operator_factor_is_prompt():
+    p = parse("tau.([c=c]b!b.0 + c!c.b?(x).a?(y).0)")
+    for mode in (STRONG, WEAK):
+        start = time.perf_counter()
+        assert len(decomposition(p, mode)) == 1
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_split_parts_restrict_received_names(mode):
+    # Each part is reached only after an input, and mentions the received
+    # pool name until that name is restricted.
+    p = parse("b?(x).b?(y).[a=x]x!x.0")
+    u = NameUniverse.for_terms(p, input_mode="fresh-only")
+    d = decomposition(p, mode, u)
+    assert len(d) == 2
+    assert multiset_eq_mod_bisim(
+        d, Decomposition([parse("b?(x).0")] * 2, mode, "fresh-only")
+    )
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+@pytest.mark.parametrize("inputs", ["early", "fresh-only"])
+def test_derivative_split_agrees_with_bounded_search(mode, inputs):
+    # Every single-factor term over {a, b} of size at most 4 splits
+    # exactly when the bounded reference finds parts of size at most 3.
+    u = NameUniverse.for_terms(extra_known=["a", "b"], pool_size=7, input_mode=inputs)
+    parts = TermUniverse(["a", "b"], 3)
+    verdicts = set()
+    for t in TermUniverse(["a", "b"], 4).enumerate():
+        if len(parallel_factors(t)) != 1:
+            continue
+        want = isinstance(find_split(t, mode, parts, u), SplitFound)
+        assert (len(decomposition(t, mode, u)) > 1) == want, pretty(t)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_find_split_parallel():
     got = find_split(parse("a!b.0 | c!d.0"), STRONG, TermUniverse(["a", "b", "c", "d"], 5))
     assert isinstance(got, SplitFound)
@@ -200,11 +239,16 @@ def test_verify_upd_fresh_only_factors_compared_in_that_discipline(mode):
     fresh = NameUniverse.for_terms(p, q, input_mode="fresh-only")
     v = verify_upd(p, q, mode, fresh)
     assert v.equivalent and v.unique, v.detail
-    assert not verify_upd(p, q, mode, oracle=False).equivalent
+    assert multiset_eq_mod_bisim(v.left, v.right)
+    early = verify_upd(p, q, mode)
+    assert not early.equivalent
+    assert not multiset_eq_mod_bisim(early.left, early.right)
+    with pytest.raises(ValueError):
+        multiset_eq_mod_bisim(v.left, early.right)
 
 
-@pytest.mark.parametrize("mode, most", [(STRONG, 1), (WEAK, 3)])
-def test_verify_upd_builds_one_index_per_stutter_free_call(mode, most, monkeypatch):
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_verify_upd_builds_one_index(mode, monkeypatch):
     made = []
     init = BehaviorIndex.__init__
 
@@ -221,7 +265,7 @@ def test_verify_upd_builds_one_index_per_stutter_free_call(mode, most, monkeypat
     for left, right in samples:
         made.clear()
         verify_upd(parse(left), parse(right), mode)
-        assert 1 <= len(made) <= most, (left, right)
+        assert len(made) == 1, (left, right)
 
 
 def _pairwise_matching(d1, d2, u_for):
@@ -267,14 +311,9 @@ def _differential_pairs():
 @pytest.mark.parametrize("inputs", ["early", "fresh-only"])
 def test_factor_multisets_match_pairwise_reference(mode, inputs):
     seen_multiset, seen_equivalent = set(), set()
-    unverified = 0
     for p, q in _differential_pairs():
         u = NameUniverse.for_terms(p, q, input_mode=inputs)
-        try:
-            v = verify_upd(p, q, mode, u, oracle=False)
-        except NormalizationIncomplete:
-            unverified += 1  # weak mode, early inputs: reported, no verdict
-            continue
+        v = verify_upd(p, q, mode, u)
         assert v.equivalent == bisim(p, q, mode, u)[0]
         seen_equivalent.add(v.equivalent)
         if v.equivalent:
@@ -284,9 +323,11 @@ def test_factor_multisets_match_pairwise_reference(mode, inputs):
             )
             assert v.unique == want, (p, q)
         got = multiset_eq_mod_bisim(v.left, v.right)
-        assert got == _pairwise_matching(v.left, v.right, NameUniverse.for_terms)
+        assert got == _pairwise_matching(
+            v.left, v.right,
+            lambda a, b: NameUniverse.for_terms(a, b, input_mode=inputs),
+        )
         seen_multiset.add(got)
-    assert unverified <= 4
     assert seen_multiset == {True, False}
     assert seen_equivalent == {True, False}
 
@@ -294,7 +335,7 @@ def test_factor_multisets_match_pairwise_reference(mode, inputs):
 @given(processes(max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_decomposition_composes_back(p):
-    d = decomposition(p, STRONG, oracle=False)
+    d = decomposition(p, STRONG)
     u = NameUniverse.for_terms(p, d.composed())
     assert strong_bisim(d.composed(), p, u)[0]
 
@@ -303,7 +344,7 @@ def test_decomposition_composes_back(p):
 @settings(max_examples=20, deadline=None)
 def test_weak_decomposition_composes_back(p):
     u = NameUniverse.for_terms(p, input_mode="fresh-only")
-    d = decomposition(p, WEAK, u, oracle=False)
+    d = decomposition(p, WEAK, u)
     u2 = NameUniverse.for_terms(p, d.composed(), input_mode="fresh-only")
     assert bisim(d.composed(), p, WEAK, u2)[0]
 
@@ -322,12 +363,10 @@ def test_mini_sweep_weak():
 
 
 def test_mini_sweep_weak_early_inputs():
-    # Early instantiation exercises stutter-free representatives that
-    # the index cannot verify; those are reported, never recorded.
     rep = upd_sweep(["a", "b"], 4, WEAK, input_mode="early")
     assert (rep.term_count, rep.class_count, rep.classes_with_pairs) == (2136, 646, 94)
     assert rep.violations == []
-    assert len(rep.normalization_failures) == 8
+    assert rep.normalization_failures == []
 
 
 def test_behavior_index_matches_bisim():

@@ -232,3 +232,13 @@ def test_roots_share_the_pool_cursor():
     assert naive_bisim_oracle(p, q, STRONG, u)
     for mode in (STRONG, WEAK):
         assert bisim(p, q, mode, u)[0]
+
+
+def test_deep_chain_classified_without_deep_recursion():
+    # 800 nested prefixes, built without the parser: exploring them must
+    # not take one Python frame per state.
+    chain = NIL
+    for _ in range(800):
+        chain = Prefixed(Output("a", "a"), chain)
+    assert not bisim(chain, Prefixed(TAU, chain), STRONG)[0]
+    assert bisim(chain, Prefixed(TAU, chain), WEAK)[0]
