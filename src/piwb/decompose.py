@@ -25,6 +25,7 @@ factors as it is enumerated.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .equivalence import STRONG, WEAK, BehaviorIndex
@@ -58,6 +59,7 @@ from .syntax import (
     binder_count,
     free_names,
     is_replication_free,
+    level_names,
     term_size,
 )
 
@@ -88,21 +90,29 @@ def scope_narrow(p: Process) -> Process:
     the right factor of a parallel composition when the left factor does
     not mention the name, and reorder adjacent restrictions when that
     enables one of the other two.  The result is strongly bisimilar to the
-    input, and narrowing it again changes nothing.
+    input, and narrowing it again changes nothing.  Subtrees no law
+    touches are returned themselves, so the factors of a canonical term
+    are shared, canonical subterms.
     """
-    if isinstance(p, (Nil,)):
+    if isinstance(p, Nil):
         return p
     if isinstance(p, Prefixed):
-        return Prefixed(p.prefix, scope_narrow(p.cont))
-    if isinstance(p, Sum):
-        return Sum(scope_narrow(p.left), scope_narrow(p.right))
-    if isinstance(p, Par):
-        return Par(scope_narrow(p.left), scope_narrow(p.right))
+        cont = scope_narrow(p.cont)
+        return p if cont is p.cont else Prefixed(p.prefix, cont)
+    if isinstance(p, (Sum, Par)):
+        left, right = scope_narrow(p.left), scope_narrow(p.right)
+        if left is p.left and right is p.right:
+            return p
+        return type(p)(left, right)
     if isinstance(p, Repl):
-        return Repl(scope_narrow(p.body))
+        body = scope_narrow(p.body)
+        return p if body is p.body else Repl(body)
     if isinstance(p, Restrict):
         body = scope_narrow(p.body)
-        return _sink(p.binder, body) or Restrict(p.binder, body)
+        sunk = _sink(p.binder, body)
+        if sunk is not None:
+            return sunk
+        return p if body is p.body else Restrict(p.binder, body)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -129,9 +139,11 @@ class TermUniverse:
     """Exhaustive enumeration of replication-free terms, up to alpha.
 
     `max_size` bounds the operator count (every node, guard, and 0 counts
-    one).  Binders take canonical names indexed by nesting depth, so each
-    alpha class is produced exactly once.  Guards range over the free
-    names and the binders in scope.
+    one).  Binders take their level names (`syntax.level_names`: v0, v1,
+    ... by nesting depth, skipping the universe's names), so each alpha
+    class is produced exactly once and every term comes out in the form
+    `alpha_canonical` gives it, which then returns it unchanged.  Guards
+    range over the free names and the binders in scope.
 
     The optional action filters shrink the space for split searches; they
     are stated over the actions a candidate may ever perform, and
@@ -161,6 +173,8 @@ class TermUniverse:
         self.bound_out_channels = (
             None if bound_out_channels is None else frozenset(bound_out_channels)
         )
+        # Every binder sits under fewer than max_size others.
+        self._binders = tuple(islice(level_names(self.names), max_size))
         self._proc_memo: dict = {}
         self._sum_memo: dict = {}
         self._prefix_memo: dict = {}
@@ -186,13 +200,7 @@ class TermUniverse:
         return self.allow_tau
 
     def _binder(self, scope) -> str:
-        i = len(scope)
-        taken = {name for _kind, name in scope}
-        name = f"u{i}"
-        while name in self.names or name in taken:
-            i += 1
-            name = f"u{i}"
-        return name
+        return self._binders[len(scope)]
 
     @property
     def _memo_cap(self) -> int:

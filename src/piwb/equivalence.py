@@ -106,6 +106,11 @@ class BehaviorIndex:
 
     def class_at(self, term: Process, consumed: int) -> int:
         """Class id of `term` entered with pool cursor `consumed`."""
+        # The keys are canonical and equality is structural, so a raw term
+        # equal to a key is canonical itself and needs no renaming.
+        got = self._class_of.get((term, consumed))
+        if got is not None:
+            return got
         avoid = self.universe.all_names
         return self._explore((hashcons(alpha_canonical(term, avoid=avoid)), consumed))
 

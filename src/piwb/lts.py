@@ -90,8 +90,19 @@ class Lts:
         }
 
 
-def _sorted_successors(ts):
-    return sorted(ts, key=lambda aq: (_action_key(aq[0]), _render(aq[1][0], 0), aq[1][1]))
+def _sorted_successors(ts, texts: dict):
+    """Steps ordered by action, then rendered successor, then cursor;
+    `texts` holds the renderings of one build, so each state is rendered
+    once however many edges reach it."""
+
+    def key(step):
+        a, (q, k) = step
+        text = texts.get(q)
+        if text is None:
+            text = texts[q] = _render(q, 0)
+        return _action_key(a), text, k
+
+    return sorted(ts, key=key)
 
 
 def build_lts_multi(terms, u: NameUniverse) -> Lts:
@@ -118,12 +129,13 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
             queue.append(state)
         roots.append(index[state])
     edges_from: list[list] = []
+    texts: dict = {}
     pos = 0
     while pos < len(queue):
         s = queue[pos]
         pos += 1
         out = []
-        for a, q in _sorted_successors(_steps_cached(s, u)):
+        for a, q in _sorted_successors(_steps_cached(s, u), texts):
             j = index.get(q)
             if j is None:
                 j = len(states)
@@ -162,6 +174,7 @@ def build_lts_bounded(
     states = [root]
     best = {0: 0}
     succ_cache: dict[int, list] = {}
+    texts: dict = {}
     truncated = set()
     heap = [(0, 0)]
     while heap:
@@ -170,7 +183,7 @@ def build_lts_bounded(
             continue
         ts = succ_cache.get(i)
         if ts is None:
-            ts = _sorted_successors(_steps_cached(states[i], u))
+            ts = _sorted_successors(_steps_cached(states[i], u), texts)
             succ_cache[i] = ts
         for a, q in ts:
             w2 = w + action_weight(a)

@@ -165,9 +165,10 @@ def _hnf_comm(senders, receivers):
 def expand_hnf(p: Process) -> HeadNormalForm:
     """Expansion-law head normal form of a replication-free term.
 
-    The input is alpha-canonicalized first so all binders are mutually
-    distinct and disjoint from the free names, which discharges every
-    freshness side condition of the expansion.
+    The input is alpha-canonicalized first, so the binders along any path
+    are mutually distinct and never free in a sibling (a sibling's free
+    names are free in the whole term or bound above it), which discharges
+    every freshness side condition of the expansion.
     """
     if not is_replication_free(p):
         raise NotFinite("head normal form requires a replication-free term")

@@ -2,14 +2,23 @@
 
 Terms are immutable and hashable; all operations here are pure.  Bound
 names are ordinary strings: alpha_canonical renames every binder into the
-reserved indexed namespace ``v0, v1, ...`` (skipping indices that would
-collide with free names) so that alpha-equivalent terms become equal.
+reserved indexed namespace ``v0, v1, ...`` so that alpha-equivalent terms
+become equal.  A binder is named by its nesting depth (de Bruijn levels):
+under d enclosing binders it takes the d-th of those names that no free
+or avoided name already uses.  Nested binders therefore get v0, v1, ...
+from the outside in, while siblings share names (`a?(x).0 | b?(y).0` is
+`a?(v0).0 | b?(v0).0`), and every factor or summand of a canonical term
+is canonical on its own.
 
 Terms share structure.  alpha_canonical and substitute return the input
 node itself wherever nothing under it changes, and hashcons interns
-terms so that equal subtrees become one object.  Equality is structural
-throughout; `self is other` is only its fast path, so no result depends
-on whether two equal terms were interned.
+terms so that equal subtrees become one object.  Each node caches its
+free names and a level tag, so a term built from canonical parts is
+recognized as canonical in time proportional to its new nodes.
+Equality is structural throughout; `self is other` is only its fast
+path, so no result depends on whether two equal terms were interned.
+The name analysis, canonical forms and interning use explicit stacks,
+so deep terms need no deep recursion.
 """
 
 from __future__ import annotations
@@ -25,6 +34,11 @@ _CANON_BINDER = "v"
 
 def canonical_binder(i: int) -> Name:
     return f"{_CANON_BINDER}{i}"
+
+
+# Level tags besides a depth (see "Level naming" below).
+_NO_BINDERS = -1
+_UNLEVELLED = -2
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +148,10 @@ class Match(Prefix):
 
 
 class Process:
-    __slots__ = ("_hash", "_fn")
+    # `_fn` caches free_names and `_lv` the level tag (see "Level
+    # naming").  `_fn` is None until first asked for; `_lv` is set
+    # together with it and never read before.
+    __slots__ = ("_hash", "_fn", "_lv")
 
     def __hash__(self):
         return self._hash
@@ -178,6 +195,7 @@ class Nil(Process):
     def __init__(self):
         object.__setattr__(self, "_hash", hash("nil-process"))
         object.__setattr__(self, "_fn", frozenset())
+        object.__setattr__(self, "_lv", _NO_BINDERS)
 
     def __repr__(self):
         return "Nil"
@@ -380,27 +398,78 @@ def _prefix_free_names(pi: Prefix) -> tuple[frozenset[Name], Optional[Name]]:
     return frozenset(free), binder
 
 
+def _prefix_binder(pi: Prefix) -> Optional[Name]:
+    """The name a prefix binds in its continuation, or None."""
+    while isinstance(pi, Match):
+        pi = pi.inner
+    return pi.binder if isinstance(pi, Input) else None
+
+
 def free_names(p: Process) -> frozenset[Name]:
     """Names with at least one occurrence not captured by an enclosing binder."""
-    cached = p._fn
-    if cached is not None:
-        return cached
-    if isinstance(p, Prefixed):
-        pre_free, binder = _prefix_free_names(p.prefix)
-        inner = free_names(p.cont)
-        if binder is not None:
-            inner = inner - {binder}
-        fn = pre_free | inner
-    elif isinstance(p, (Sum, Par)):
-        fn = free_names(p.left) | free_names(p.right)
-    elif isinstance(p, Restrict):
-        fn = free_names(p.body) - {p.binder}
-    elif isinstance(p, Repl):
-        fn = free_names(p.body)
-    else:
-        raise TypeError(f"not a process: {p!r}")
-    object.__setattr__(p, "_fn", fn)
+    fn = p._fn
+    if fn is None:
+        _annotate(p)
+        fn = p._fn
     return fn
+
+
+def _annotate(p: Process) -> None:
+    """Cache the free names and the level tag of `p` and of every node
+    under it that lacks them; the two are set together.
+
+    Post-order on an explicit stack: a node is computed once its children
+    are, so deep terms need no deep recursion.
+    """
+    stack = [p]
+    while stack:
+        t = stack[-1]
+        cls = type(t)
+        if cls is Prefixed:
+            cont = t.cont
+            fn = cont._fn
+            if fn is None:
+                stack.append(cont)
+                continue
+            pi, tag = t.prefix, cont._lv
+            if type(pi) is Output:
+                fn = fn | {pi.chan, pi.datum}
+            elif type(pi) is Input:
+                fn = (fn - {pi.binder}) | {pi.chan}
+                tag = _bind_level(pi.binder, tag)
+            elif type(pi) is Match:
+                pre_free, binder = _prefix_free_names(pi)
+                if binder is not None:
+                    fn = fn - {binder}
+                    tag = _bind_level(binder, tag)
+                fn = pre_free | fn
+        elif cls is Sum or cls is Par:
+            left, right = t.left, t.right
+            if left._fn is None or right._fn is None:
+                if left._fn is None:
+                    stack.append(left)
+                if right._fn is None:
+                    stack.append(right)
+                continue
+            fn = left._fn | right._fn
+            tag = left._lv
+            if right._lv != tag:
+                tag = _join_levels(tag, right._lv)
+        elif cls is Restrict or cls is Repl:
+            body = t.body
+            fn = body._fn
+            if fn is None:
+                stack.append(body)
+                continue
+            tag = body._lv
+            if cls is Restrict:
+                fn = fn - {t.binder}
+                tag = _bind_level(t.binder, tag)
+        else:
+            raise TypeError(f"not a process: {t!r}")
+        object.__setattr__(t, "_fn", fn)
+        object.__setattr__(t, "_lv", tag)
+        stack.pop()
 
 
 def bound_names(p: Process) -> frozenset[Name]:
@@ -410,7 +479,7 @@ def bound_names(p: Process) -> frozenset[Name]:
     while stack:
         t = stack.pop()
         if isinstance(t, Prefixed):
-            _, binder = _prefix_free_names(t.prefix)
+            binder = _prefix_binder(t.prefix)
             if binder is not None:
                 out.add(binder)
             stack.append(t.cont)
@@ -435,47 +504,31 @@ def names(p: Process) -> frozenset[Name]:
 
 def term_size(p: Process) -> int:
     """Operator count: every constructor, prefix, and guard counts one."""
-    if isinstance(p, Nil):
-        return 1
-    if isinstance(p, Prefixed):
-        n = 1
-        pi = p.prefix
-        while isinstance(pi, Match):
-            n += 1
-            pi = pi.inner
-        return n + term_size(p.cont)
-    if isinstance(p, (Sum, Par)):
-        return 1 + term_size(p.left) + term_size(p.right)
-    if isinstance(p, (Restrict, Repl)):
-        return 1 + term_size(p.body)
-    raise TypeError(f"not a process: {p!r}")
+    n = 0
+    for t in subterms(p):
+        n += 1
+        if isinstance(t, Prefixed):
+            pi = t.prefix
+            while isinstance(pi, Match):
+                n += 1
+                pi = pi.inner
+    return n
 
 
 def prefix_count(p: Process) -> int:
     """Number of basic prefix occurrences (guards not counted)."""
-    if isinstance(p, Nil):
-        return 0
-    if isinstance(p, Prefixed):
-        return 1 + prefix_count(p.cont)
-    if isinstance(p, (Sum, Par)):
-        return prefix_count(p.left) + prefix_count(p.right)
-    if isinstance(p, (Restrict, Repl)):
-        return prefix_count(p.body)
-    raise TypeError(f"not a process: {p!r}")
+    return sum(isinstance(t, Prefixed) for t in subterms(p))
 
 
 def binder_count(p: Process) -> int:
     """Total number of binder occurrences (inputs and restrictions)."""
-    if isinstance(p, Nil):
-        return 0
-    if isinstance(p, Prefixed):
-        _, binder = _prefix_free_names(p.prefix)
-        return (1 if binder is not None else 0) + binder_count(p.cont)
-    if isinstance(p, (Sum, Par)):
-        return binder_count(p.left) + binder_count(p.right)
-    if isinstance(p, (Restrict, Repl)):
-        return 1 + binder_count(p.body)
-    raise TypeError(f"not a process: {p!r}")
+    n = 0
+    for t in subterms(p):
+        if isinstance(t, Restrict):
+            n += 1
+        elif isinstance(t, Prefixed) and _prefix_binder(t.prefix) is not None:
+            n += 1
+    return n
 
 
 def is_replication_free(p: Process) -> bool:
@@ -542,26 +595,6 @@ def _fresh_name(avoid: set[Name]) -> Name:
     return canonical_binder(i)
 
 
-def _subst_prefix(pi: Prefix, new: Name, old: Name):
-    """Substitute in a prefix; returns (prefix-rebuilder, binder, core)."""
-    guards = []
-    while isinstance(pi, Match):
-        guards.append(
-            (
-                new if pi.lhs == old else pi.lhs,
-                new if pi.rhs == old else pi.rhs,
-            )
-        )
-        pi = pi.inner
-    return guards, pi
-
-
-def _rebuild_prefix(guards, core: Prefix) -> Prefix:
-    for lhs, rhs in reversed(guards):
-        core = Match(lhs, rhs, core)
-    return core
-
-
 def substitute(p: Process, new: Name, old: Name) -> Process:
     """Replace every free occurrence of `old` by `new`, avoiding capture.
 
@@ -571,28 +604,16 @@ def substitute(p: Process, new: Name, old: Name) -> Process:
     if old == new or old not in free_names(p):
         return p
     if isinstance(p, Prefixed):
-        guards, core = _subst_prefix(p.prefix, new, old)
-        if isinstance(core, Output):
-            core2 = Output(
-                new if core.chan == old else core.chan,
-                new if core.datum == old else core.datum,
-            )
-            return Prefixed(_rebuild_prefix(guards, core2), substitute(p.cont, new, old))
-        if isinstance(core, Input):
-            chan = new if core.chan == old else core.chan
-            binder, cont = core.binder, p.cont
-            if binder == old:
-                # old is re-bound below; only the channel position is free.
-                return Prefixed(_rebuild_prefix(guards, Input(chan, binder)), cont)
-            if binder == new and old in free_names(cont):
-                fresh = _fresh_name(set(free_names(cont)) | {new, old})
-                cont = substitute(cont, fresh, binder)
-                binder = fresh
-            return Prefixed(
-                _rebuild_prefix(guards, Input(chan, binder)),
-                substitute(cont, new, old),
-            )
-        return Prefixed(_rebuild_prefix(guards, core), substitute(p.cont, new, old))
+        env = {old: new}
+        binder, cont = _prefix_binder(p.prefix), p.cont
+        if binder == old:
+            # old is re-bound below; only the prefix's own names are free.
+            return Prefixed(_rename_prefix(p.prefix, env, binder), cont)
+        if binder == new and old in free_names(cont):
+            fresh = _fresh_name(set(free_names(cont)) | {new, old})
+            cont = substitute(cont, fresh, binder)
+            binder = fresh
+        return Prefixed(_rename_prefix(p.prefix, env, binder), substitute(cont, new, old))
     if isinstance(p, Sum):
         return Sum(substitute(p.left, new, old), substitute(p.right, new, old))
     if isinstance(p, Par):
@@ -611,96 +632,201 @@ def substitute(p: Process, new: Name, old: Name) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-class _Canonizer:
-    """Renames binders to v0, v1, ... in traversal order, skipping `avoid`.
+# Level naming.  A binder under d enclosing binders takes the d-th
+# canonical name not in the avoided set, so a subterm's canonical spelling
+# depends only on its depth: the factors and summands of a canonical term
+# are canonical themselves, and a step that leaves binders at their
+# depth leaves its successor canonical.
+#
+# Each node caches a level tag in `_lv`: the depth d at which its binders
+# are level-named (its outermost binders are v{d}, those under them
+# v{d+1}, ...), _NO_BINDERS, or _UNLEVELLED.  `_annotate` sets it with the
+# node's free names, from its children's, so tagging costs one step per
+# new node.
+
+# The first level names with their levels.  Tags count only binders
+# named from this table, so every binder of a tagged node is a key here:
+# a node tagged 0 is its own canonical form whenever no key is free in it
+# or avoided.  A term nested deeper is canonicalized by a walk.
+_LEVELS: dict[Name, int] = {canonical_binder(i): i for i in range(128)}
+
+
+def level_names(taken) -> Iterator[Name]:
+    """v0, v1, ... without the names in `taken`: in a term whose free and
+    avoided names are `taken`, the d-th is the canonical name of a binder
+    under d enclosing binders."""
+    i = 0
+    while True:
+        name = canonical_binder(i)
+        if name not in taken:
+            yield name
+        i += 1
+
+
+def _bind_level(binder: Name, inner: int) -> int:
+    """Tag of a binder node whose scope is tagged `inner`."""
+    d = _LEVELS.get(binder)
+    if d is not None and (inner == d + 1 or inner == _NO_BINDERS):
+        return d
+    return _UNLEVELLED
+
+
+def _join_levels(left: int, right: int) -> int:
+    """Tag of a sum or parallel composition of parts tagged `left` and
+    `right`."""
+    if right == left or right == _NO_BINDERS:
+        return left
+    if left == _NO_BINDERS:
+        return right
+    return _UNLEVELLED
+
+
+def _level_walk(p: Process, taken: frozenset[Name]) -> Process:
+    """Rename every binder of `p` to its level name, skipping `taken`.
 
     A node whose binder keeps its name and whose children come back
-    unchanged is returned as is, so new nodes are allocated only along
-    paths that actually change.  `env` maps the bound names in scope to
-    their new names and holds no name that keeps its own.
+    unchanged is returned as is.  `env` maps the bound names in scope to
+    their new names and holds no name that keeps its own.  A subtree
+    already level-named at its depth, none of whose free names is
+    renamed, is returned without a visit when its level names are the
+    ones this walk hands out: no name below its depth was skipped, and
+    its own binders' names (all in `_LEVELS`) are not taken.  Iterative:
+    visits and rebuilds (marked by depth -1) wait on one stack, finished
+    subtrees on another.
     """
+    names: list[Name] = []
+    supply = level_names(taken)
+    unskipped = 0  # names[:unskipped] are v0, v1, ...
 
-    def __init__(self, avoid: frozenset[Name]):
-        self.avoid = avoid
-        self.next_index = 0
+    def name_at(depth: int) -> Name:
+        nonlocal unskipped
+        while len(names) <= depth:
+            name = next(supply)
+            if unskipped == len(names) and name == canonical_binder(unskipped):
+                unskipped += 1
+            names.append(name)
+        return names[depth]
 
-    def allocate(self) -> Name:
-        while True:
-            name = canonical_binder(self.next_index)
-            self.next_index += 1
-            if name not in self.avoid:
-                return name
+    levels_free = _LEVELS.keys().isdisjoint(taken)
+    done: list[Process] = []
+    todo: list = [(p, 0, {})]
+    while todo:
+        t, depth, env = todo.pop()
+        if depth < 0:
+            # A rebuild: `env` holds the node's new binder or prefix.
+            cls = type(t)
+            if cls is Sum or cls is Par:
+                right = done.pop()
+                left = done.pop()
+                if left is not t.left or right is not t.right:
+                    t = cls(left, right)
+            elif cls is Prefixed:
+                cont = done.pop()
+                if env is not t.prefix or cont is not t.cont:
+                    t = Prefixed(env, cont)
+            elif cls is Restrict:
+                body = done.pop()
+                if env != t.binder or body is not t.body:
+                    t = Restrict(env, body)
+            else:
+                body = done.pop()
+                if body is not t.body:
+                    t = Repl(body)
+            done.append(t)
+            continue
+        if t._fn is None:
+            _annotate(t)
+        tag = t._lv
+        if tag == _NO_BINDERS or (tag == depth and levels_free and unskipped >= depth):
+            if not env or env.keys().isdisjoint(t._fn):
+                done.append(t)
+                continue
+        cls = type(t)
+        if cls is Prefixed:
+            binder = _prefix_binder(t.prefix)
+            if binder is None:
+                todo.append((t, -1, _rename_prefix(t.prefix, env, None)))
+            else:
+                fresh = name_at(depth)
+                todo.append((t, -1, _rename_prefix(t.prefix, env, fresh)))
+                env = _bind(env, binder, fresh)
+                depth += 1
+            todo.append((t.cont, depth, env))
+        elif cls is Sum or cls is Par:
+            todo.append((t, -1, None))
+            todo.append((t.right, depth, env))
+            todo.append((t.left, depth, env))
+        elif cls is Restrict:
+            fresh = name_at(depth)
+            todo.append((t, -1, fresh))
+            todo.append((t.body, depth + 1, _bind(env, t.binder, fresh)))
+        elif cls is Repl:
+            todo.append((t, -1, None))
+            todo.append((t.body, depth, env))
+        else:
+            done.append(t)
+    return done[0]
 
-    def bind(self, binder: Name, env: dict[Name, Name]):
-        """Allocate the canonical name for `binder`: (name, inner env)."""
-        fresh = self.allocate()
-        if fresh != binder:
-            env = dict(env)
-            env[binder] = fresh
-        elif binder in env:
-            env = dict(env)
-            del env[binder]
-        return fresh, env
 
-    def walk(self, p: Process, env: dict[Name, Name]) -> Process:
-        if isinstance(p, Nil):
-            return p
-        if isinstance(p, Prefixed):
-            pi, env2 = self.walk_prefix(p.prefix, env)
-            cont = self.walk(p.cont, env2)
-            if pi is p.prefix and cont is p.cont:
-                return p
-            return Prefixed(pi, cont)
-        if isinstance(p, (Sum, Par)):
-            left = self.walk(p.left, env)
-            right = self.walk(p.right, env)
-            if left is p.left and right is p.right:
-                return p
-            return type(p)(left, right)
-        if isinstance(p, Restrict):
-            fresh, env2 = self.bind(p.binder, env)
-            body = self.walk(p.body, env2)
-            if fresh == p.binder and body is p.body:
-                return p
-            return Restrict(fresh, body)
-        if isinstance(p, Repl):
-            body = self.walk(p.body, env)
-            return p if body is p.body else Repl(body)
-        raise TypeError(f"not a process: {p!r}")
+def _rename_prefix(pi: Prefix, env: dict[Name, Name], fresh: Optional[Name]) -> Prefix:
+    """`pi` with its names mapped through `env` and its binder (if any)
+    renamed to `fresh`; `pi` itself when nothing changes."""
+    guards = []
+    while isinstance(pi, Match):
+        guards.append(pi)
+        pi = pi.inner
+    if isinstance(pi, Output):
+        chan, datum = env.get(pi.chan, pi.chan), env.get(pi.datum, pi.datum)
+        if chan != pi.chan or datum != pi.datum:
+            pi = Output(chan, datum)
+    elif isinstance(pi, Input):
+        chan = env.get(pi.chan, pi.chan)
+        if chan != pi.chan or fresh != pi.binder:
+            pi = Input(chan, fresh)
+    for guard in reversed(guards):
+        lhs, rhs = env.get(guard.lhs, guard.lhs), env.get(guard.rhs, guard.rhs)
+        if pi is guard.inner and lhs == guard.lhs and rhs == guard.rhs:
+            pi = guard
+        else:
+            pi = Match(lhs, rhs, pi)
+    return pi
 
-    def walk_prefix(self, pi: Prefix, env: dict[Name, Name]):
-        if isinstance(pi, Match):
-            inner, env2 = self.walk_prefix(pi.inner, env)
-            lhs = env.get(pi.lhs, pi.lhs)
-            rhs = env.get(pi.rhs, pi.rhs)
-            if inner is pi.inner and lhs == pi.lhs and rhs == pi.rhs:
-                return pi, env2
-            return Match(lhs, rhs, inner), env2
-        if isinstance(pi, Output):
-            chan = env.get(pi.chan, pi.chan)
-            datum = env.get(pi.datum, pi.datum)
-            if chan == pi.chan and datum == pi.datum:
-                return pi, env
-            return Output(chan, datum), env
-        if isinstance(pi, Input):
-            chan = env.get(pi.chan, pi.chan)
-            fresh, env2 = self.bind(pi.binder, env)
-            if chan == pi.chan and fresh == pi.binder:
-                return pi, env2
-            return Input(chan, fresh), env2
-        return pi, env
+
+def _bind(env: dict[Name, Name], binder: Name, fresh: Name) -> dict[Name, Name]:
+    """Scope of a binder renamed to `fresh`, given the enclosing `env`."""
+    if fresh != binder:
+        env = dict(env)
+        env[binder] = fresh
+    elif binder in env:
+        env = dict(env)
+        del env[binder]
+    return env
 
 
 def alpha_canonical(p: Process, avoid: frozenset[Name] = frozenset()) -> Process:
     """Deterministic renaming of all binders into the reserved namespace.
 
-    Alpha-equivalent inputs map to equal outputs; free names are left
-    untouched.  Indices colliding with free names of `p` or with `avoid`
-    are skipped, so canonical binders never shadow anything relevant.
-    The output shares every unchanged subtree with `p`, and an input that
-    is already canonical is returned itself.
+    A binder under d enclosing binders is named by its depth: it takes the
+    d-th name of v0, v1, ... that is neither free in `p` nor in `avoid`
+    (de Bruijn levels).  Alpha-equivalent inputs map to equal outputs,
+    free names are left untouched, and canonical binders never shadow
+    anything relevant.  Nested binders get distinct names; siblings share
+    them, so `a?(x).0 | b?(y).0` becomes `a?(v0).0 | b?(v0).0`.
+
+    The output shares every unchanged subtree with `p`.  An input that is
+    already canonical is returned itself: the cached level tags show it
+    without a walk, unless a level name is free in `p` or avoided or its
+    binders nest deeper than the tags record (then the walk shows it).
     """
-    return _Canonizer(free_names(p) | avoid).walk(p, {})
+    if p._fn is None:
+        _annotate(p)
+    tag = p._lv
+    if tag == _NO_BINDERS:
+        return p
+    fn = free_names(p)
+    if tag == 0 and _LEVELS.keys().isdisjoint(fn) and _LEVELS.keys().isdisjoint(avoid):
+        return p
+    return _level_walk(p, fn | avoid)
 
 
 _hashcons_table: dict = {}
@@ -715,27 +841,51 @@ def hashcons(p: Process) -> Process:
     interned, so nothing is copied.  Equality stays structural: identity
     is only a fast path, and clearing the table changes no comparison.
     """
-    got = _hashcons_table.get(p)
+    table = _hashcons_table
+    got = table.get(p)
     if got is not None:
         return got
-    if isinstance(p, Prefixed):
-        cont = hashcons(p.cont)
-        if cont is not p.cont:
-            p = Prefixed(p.prefix, cont)
-    elif isinstance(p, (Sum, Par)):
-        left, right = hashcons(p.left), hashcons(p.right)
-        if left is not p.left or right is not p.right:
-            p = type(p)(left, right)
-    elif isinstance(p, Restrict):
-        body = hashcons(p.body)
-        if body is not p.body:
-            p = Restrict(p.binder, body)
-    elif isinstance(p, Repl):
-        body = hashcons(p.body)
-        if body is not p.body:
-            p = Repl(body)
-    _hashcons_table[p] = p
-    return p
+    # Explicit stacks, so deep terms need no deep recursion: a node is
+    # visited (and looked up once), then rebuilt from its children's
+    # shared instances, which wait on `done`.
+    done: list[Process] = []
+    todo: list = [p]
+    looked_up = p
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            cls = type(t)
+            if cls is Sum or cls is Par:
+                right = done.pop()
+                left = done.pop()
+                if left is not t.left or right is not t.right:
+                    t = cls(left, right)
+            elif cls is Prefixed:
+                cont = done.pop()
+                if cont is not t.cont:
+                    t = Prefixed(t.prefix, cont)
+            else:
+                body = done.pop()
+                if body is not t.body:
+                    t = Restrict(t.binder, body) if cls is Restrict else Repl(body)
+            done.append(table.setdefault(t, t))
+            continue
+        if t is not looked_up:
+            got = table.get(t)
+            if got is not None:
+                done.append(got)
+                continue
+        cls = type(t)
+        if cls is Sum or cls is Par:
+            todo += ((t,), t.right, t.left)
+        elif cls is Prefixed:
+            todo += ((t,), t.cont)
+        elif cls is Restrict or cls is Repl:
+            todo += ((t,), t.body)
+        else:
+            done.append(table.setdefault(t, t))
+    return done[0]
 
 
 def clear_hashcons():

@@ -11,6 +11,7 @@ from piwb import (
     Par,
     STRONG,
     WEAK,
+    alpha_canonical,
     alpha_equivalent,
     bisim,
     decomposition,
@@ -34,7 +35,7 @@ from piwb.decompose import (
 from piwb.gen import TermGen
 from piwb.normalize import expand_hnf
 
-from conftest import processes, tau_pad
+from conftest import level_canonical, processes, tau_pad
 
 
 def test_scope_narrow_unused_binder_on_par():
@@ -382,3 +383,35 @@ def test_behavior_index_matches_bisim():
     assert not strong_bisim(p1, plain, u)[0]
     assert index.class_of(p1) == index.class_of(full)
     assert strong_bisim(p1, full, u)[0]
+
+
+def test_enumerated_terms_are_their_own_canonical_form():
+    # Binders are enumerated under their level names, so the sweep's
+    # roots need no renaming: alpha_canonical returns each one itself.
+    tu = TermUniverse(["a", "b"], 5)
+    u = NameUniverse.for_terms(extra_known=tu.names, pool_size=7)
+    count = 0
+    for t in tu.enumerate():
+        assert alpha_canonical(t, avoid=u.all_names) is t
+        if count % 50 == 0:
+            assert level_canonical(t, u.all_names) == t
+        count += 1
+    assert count == 49051
+
+
+def test_scope_narrow_returns_untouched_terms_themselves():
+    terms = list(TermUniverse(["a", "b"], 4).enumerate())
+    gen = TermGen(31)
+    terms += [gen.term(3 + i % 5) for i in range(300)]
+    untouched = 0
+    for t in terms:
+        narrowed = scope_narrow(t)
+        if narrowed == t:
+            assert narrowed is t
+            untouched += 1
+    assert 0 < untouched < len(terms)
+    p = parse("a!b.0 | new z.(z!a.0 | a?(x).z!x.0)")
+    assert scope_narrow(p) is p
+    # Where a law applies, the subtrees it leaves alone are still shared.
+    q = parse("new z.(a!b.0 | z!a.0) | c!c.0")
+    assert scope_narrow(q).right is q.right

@@ -215,7 +215,6 @@ def test_partition_json():
 
 
 def test_long_chain_against_tau_copy():
-    # 450 prefixes: as deep as the recursive term functions go.
     chain = NIL
     for _ in range(450):
         chain = Prefixed(Output("a", "b"), chain)
@@ -242,3 +241,14 @@ def test_deep_chain_classified_without_deep_recursion():
         chain = Prefixed(Output("a", "a"), chain)
     assert not bisim(chain, Prefixed(TAU, chain), STRONG)[0]
     assert bisim(chain, Prefixed(TAU, chain), WEAK)[0]
+
+
+def test_chain_of_3000_prefixes_against_tau_copy():
+    # Name analysis, canonical forms and interning take no frame per
+    # level either, so a much longer chain is decided, not a RecursionError.
+    chain = NIL
+    for _ in range(3000):
+        chain = Prefixed(Output("a", "a"), chain)
+    padded = Prefixed(TAU, chain)
+    assert strong_bisim(chain, padded)[0] is False
+    assert weak_bisim(chain, padded)[0] is True

@@ -1,4 +1,6 @@
 
+import random
+
 from hypothesis import given, settings
 import pytest
 
@@ -19,9 +21,15 @@ from piwb import (
     state_depths,
     strong_bisim,
 )
-from piwb.syntax import TAU_ACT, FreeOut
+from piwb.decompose import scope_narrow
+from piwb.gen import TermGen
+from piwb.lts import build_lts_multi
+from piwb.normalize import expand_hnf
+from piwb.parser import _render, action_text
+from piwb.semantics import derive_steps, start_index
+from piwb.syntax import TAU_ACT, FreeOut, alpha_canonical
 
-from conftest import process_pairs, processes
+from conftest import process_pairs, processes, tau_pad
 
 Q_TEXT = "new z.(a!z.0) | a?(x).x!a.0"
 
@@ -176,3 +184,69 @@ def test_depth_zero_iff_bisimilar_to_nil(p):
     u = NameUniverse.for_terms(p)
     zero_depth = depth(build_lts(p, u)) == 0
     assert zero_depth == strong_bisim(p, NIL, u)[0]
+
+
+def _check_style_pairs():
+    """Pairs shaped like the benchmark's `check` items: independent size-6
+    terms over three names, and terms with a narrowed, head-normal-form
+    or tau-padded variant."""
+    gen = TermGen(3, ("a", "b", "c"))
+    rng = random.Random(3)
+    pairs = []
+    for i in range(40):
+        if i % 2 == 0:
+            pairs.append(gen.pair(6))
+            continue
+        p = gen.term(6)
+        kind = i // 2 % 3
+        if kind == 0:
+            q = scope_narrow(p)
+        elif kind == 1:
+            q = expand_hnf(p).to_process()
+        else:
+            q = tau_pad(p, rng)
+        pairs.append((p, q))
+    return pairs
+
+
+def _reference_json(terms, u):
+    """The graph `build_lts_multi` defines, rendering one text per edge:
+    breadth first, successors ordered by action, rendered successor and
+    pool cursor."""
+    k0 = max(start_index(t, u) for t in terms)
+    index, states, roots = {}, [], []
+    for t in terms:
+        state = (alpha_canonical(t, avoid=u.all_names), k0)
+        if state not in index:
+            index[state] = len(states)
+            states.append(state)
+        roots.append(index[state])
+    edges = []
+    pos = 0
+    while pos < len(states):
+        i = pos
+        pos += 1
+        steps = sorted(
+            derive_steps(states[i], u),
+            key=lambda aq: (type(aq[0]).__name__, action_text(aq[0]),
+                            _render(aq[1][0], 0), aq[1][1]),
+        )
+        for a, q in steps:
+            if q not in index:
+                index[q] = len(states)
+                states.append(q)
+            edges.append([i, action_text(a), index[q]])
+    return {
+        "states": [_render(t, 0) for t, _k in states],
+        "roots": roots,
+        "edges": edges,
+        "truncated": [],
+    }
+
+
+def test_graph_order_and_json_unchanged_by_rendering_once():
+    for p, q in _check_style_pairs():
+        for terms in ([p, q], [Par(p, q)]):
+            u = NameUniverse.for_terms(*terms)
+            l = build_lts_multi(terms, u)
+            assert l.to_json_dict() == _reference_json(terms, u)

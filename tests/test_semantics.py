@@ -25,7 +25,7 @@ from piwb.lts import build_lts_multi
 from piwb.semantics import _cache, clear_transition_cache, derive_steps, state_for
 from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
 
-from conftest import process_pairs, processes
+from conftest import level_canonical, process_pairs, processes
 
 
 def test_open_rule_single_bound_output():
@@ -225,3 +225,31 @@ def test_verdicts_unchanged_after_clearing_intern_table():
     assert _cache
     assert _verdicts(pairs) == reference
     clear_transition_cache()
+
+
+@pytest.mark.parametrize("mode", ["early", "fresh-only"])
+def test_successors_match_full_rebuild(mode):
+    # Most successors are returned by the cached level tags without a
+    # walk; each must still be exactly the rebuilt canonical form.
+    # Binders drawn from the canonical namespace and free names that
+    # look canonical take the walk instead.
+    gens = [
+        TermGen(21, ("a", "b", "c")),
+        TermGen(22, ("a", "b", "c"), binder_prefix="v"),
+        TermGen(23, ("a", "v0", "v1")),
+    ]
+    checked = 0
+    for gen in gens:
+        for i in range(60):
+            p = gen.term(3 + i % 5)
+            u = NameUniverse.for_terms(p, input_mode=mode)
+            seen = {state_for(p, u)}
+            queue = list(seen)
+            while queue and len(seen) < 60:
+                for _a, state in derive_steps(queue.pop(), u):
+                    assert state[0] == level_canonical(state[0], u.all_names)
+                    checked += 1
+                    if state not in seen:
+                        seen.add(state)
+                        queue.append(state)
+    assert checked > 500

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given
 import hypothesis.strategies as st
 import pytest
@@ -27,13 +29,13 @@ from piwb.syntax import (
     Output,
     Repl,
     Restrict,
-    canonical_binder,
+    binder_count,
     clear_hashcons,
     hashcons,
     subterms,
 )
 
-from conftest import processes
+from conftest import level_canonical, processes
 
 
 def test_free_names_nil():
@@ -215,50 +217,6 @@ def test_generator_respects_freshness_convention(p):
     assert not (set(binders) & free_names(p))
 
 
-class _RebuildingCanonizer:
-    """Reference walker that rebuilds every node; alpha_canonical, which
-    returns unchanged nodes as they are, must agree with it."""
-
-    def __init__(self, avoid):
-        self.avoid = avoid
-        self.next_index = 0
-
-    def allocate(self):
-        while True:
-            name = canonical_binder(self.next_index)
-            self.next_index += 1
-            if name not in self.avoid:
-                return name
-
-    def walk(self, p, env):
-        if isinstance(p, Nil):
-            return p
-        if isinstance(p, Prefixed):
-            pi, env2 = self.walk_prefix(p.prefix, env)
-            return Prefixed(pi, self.walk(p.cont, env2))
-        if isinstance(p, Sum):
-            return Sum(self.walk(p.left, env), self.walk(p.right, env))
-        if isinstance(p, Par):
-            return Par(self.walk(p.left, env), self.walk(p.right, env))
-        if isinstance(p, Restrict):
-            fresh = self.allocate()
-            return Restrict(fresh, self.walk(p.body, {**env, p.binder: fresh}))
-        if isinstance(p, Repl):
-            return Repl(self.walk(p.body, env))
-        raise TypeError(p)
-
-    def walk_prefix(self, pi, env):
-        if isinstance(pi, Match):
-            inner, env2 = self.walk_prefix(pi.inner, env)
-            return Match(env.get(pi.lhs, pi.lhs), env.get(pi.rhs, pi.rhs), inner), env2
-        if isinstance(pi, Output):
-            return Output(env.get(pi.chan, pi.chan), env.get(pi.datum, pi.datum)), env
-        if isinstance(pi, Input):
-            fresh = self.allocate()
-            return Input(env.get(pi.chan, pi.chan), fresh), {**env, pi.binder: fresh}
-        return pi, env
-
-
 _AVOID = frozenset({"v0", "v2", "w0"})
 
 # Binders named like canonical ones, some shadowing others, so that
@@ -285,13 +243,82 @@ def _sample_terms():
     return terms + [parse(text) for text in _SHADOWING]
 
 
+def _rename_binders(p, rng):
+    """Alpha-variant of `p`: every binder gets a distinct new name, some
+    of them canonical-looking, none free in `p`."""
+    pool = [n for n in [f"r{i}" for i in range(60)] + [f"v{i}" for i in range(60)]
+            if n not in free_names(p)]
+    fresh = iter(rng.sample(pool, binder_count(p)))
+
+    def prefix(pi, env):
+        if isinstance(pi, Match):
+            inner, env2 = prefix(pi.inner, env)
+            return Match(env.get(pi.lhs, pi.lhs), env.get(pi.rhs, pi.rhs), inner), env2
+        if isinstance(pi, Output):
+            return Output(env.get(pi.chan, pi.chan), env.get(pi.datum, pi.datum)), env
+        if isinstance(pi, Input):
+            name = next(fresh)
+            return Input(env.get(pi.chan, pi.chan), name), {**env, pi.binder: name}
+        return pi, env
+
+    def walk(t, env):
+        if isinstance(t, Prefixed):
+            pi, env2 = prefix(t.prefix, env)
+            return Prefixed(pi, walk(t.cont, env2))
+        if isinstance(t, (Sum, Par)):
+            return type(t)(walk(t.left, env), walk(t.right, env))
+        if isinstance(t, Restrict):
+            name = next(fresh)
+            return Restrict(name, walk(t.body, {**env, t.binder: name}))
+        if isinstance(t, Repl):
+            return Repl(walk(t.body, env))
+        return t
+
+    return walk(p, {})
+
+
 def test_alpha_canonical_matches_full_rebuild():
+    rng = random.Random(7)
     for p in _sample_terms():
         for avoid in (frozenset(), _AVOID):
             got = alpha_canonical(p, avoid=avoid)
-            want = _RebuildingCanonizer(free_names(p) | avoid).walk(p, {})
+            want = level_canonical(p, avoid)
             assert got == want
             assert pretty(got) == pretty(want)
+            # Idempotent, and blind to how the binders were named.
+            assert alpha_canonical(got, avoid=avoid) == got
+            for _ in range(3):
+                assert alpha_canonical(_rename_binders(p, rng), avoid=avoid) == got
+
+
+def test_siblings_share_level_names_and_nested_binders_do_not():
+    assert pretty(parse("a?(x).0 | b?(y).0")) == "a?(v0).0 | b?(v0).0"
+    assert pretty(parse("new z.(a?(x).x!z.0 + b?(y).y!z.0)")) == (
+        "new v0.(a?(v1).v1!v0.0 + b?(v1).v1!v0.0)"
+    )
+    assert pretty(parse("a?(x).new y.b?(z).x!y.z!a.0")) == (
+        "a?(v0).new v1.b?(v2).v0!v1.v2!a.0"
+    )
+    # A free v0 is skipped at every depth.
+    assert pretty(parse("a?(x).(x!v0.0 | new y.y!x.0)")) == (
+        "a?(v1).(v1!v0.0 | new v2.v2!v1.0)"
+    )
+
+
+def test_alpha_canonical_of_deep_input_chain():
+    # 3,000 nested inputs with user names, each sending on the previous
+    # binder: the walk and the name analysis take no frame per level.
+    chain = NIL
+    for i in reversed(range(3000)):
+        chain = Prefixed(Input(f"x{i - 1}" if i else "a", f"x{i}"), chain)
+    c = alpha_canonical(chain)
+    assert alpha_canonical(c) is c
+    assert free_names(c) == {"a"}
+    t, depth = c, 0
+    while isinstance(t, Prefixed):
+        assert t.prefix == Input(f"v{depth - 1}" if depth else "a", f"v{depth}")
+        t, depth = t.cont, depth + 1
+    assert depth == 3000
 
 
 def test_alpha_canonical_returns_canonical_input_itself():
