@@ -29,23 +29,19 @@ def action_weight(a: Action) -> int:
     return 2 if a == TAU_ACT else 1
 
 
-def _action_key(a: Action):
-    return (type(a).__name__, action_text(a))
-
-
 class Lts:
     """Immutable rooted transition graph over alpha-canonical states.
 
-    A state is a term paired with its pool cursor (how many reserved
-    names its run has introduced); `states` exposes the terms and
-    `state_pairs` the full exploration states.
+    `states` holds the terms of the explored states (a term paired with
+    its pool cursor, how many reserved names its run has introduced),
+    numbered in the order the builder reached them; each state's edges
+    follow `derive_steps` order.
     """
 
-    __slots__ = ("state_pairs", "states", "edges_from", "roots", "truncated", "universe")
+    __slots__ = ("states", "edges_from", "roots", "truncated", "universe")
 
-    def __init__(self, state_pairs, edges_from, roots, truncated, universe):
-        self.state_pairs = tuple(state_pairs)
-        self.states = tuple(t for t, _k in self.state_pairs)
+    def __init__(self, states, edges_from, roots, truncated, universe):
+        self.states = tuple(states)
         self.edges_from = tuple(tuple(es) for es in edges_from)
         self.roots = tuple(roots)
         self.truncated = frozenset(truncated)
@@ -90,28 +86,16 @@ class Lts:
         }
 
 
-def _sorted_successors(ts, texts: dict):
-    """Steps ordered by action, then rendered successor, then cursor;
-    `texts` holds the renderings of one build, so each state is rendered
-    once however many edges reach it."""
-
-    def key(step):
-        a, (q, k) = step
-        text = texts.get(q)
-        if text is None:
-            text = texts[q] = _render(q, 0)
-        return _action_key(a), text, k
-
-    return sorted(ts, key=key)
-
-
 def build_lts_multi(terms, u: NameUniverse) -> Lts:
     """Breadth-first reachable graph from several roots under one universe.
 
-    All roots share one starting pool cursor so their input instantiation
-    aligns.  Accepts operationally meaningful terms outside the two-level
-    grammar (sums over restriction-wrapped bound outputs, as produced by
-    head normal forms); the public build_lts validates its input first.
+    States are numbered as the search reaches them, taking each state's
+    steps in `derive_steps` order, so numbering and edge order are the
+    same under every hash seed.  All roots share one starting pool
+    cursor so their input instantiation aligns.  Accepts operationally
+    meaningful terms outside the two-level grammar (sums over
+    restriction-wrapped bound outputs, as produced by head normal
+    forms); the public build_lts validates its input first.
     """
     for t in terms:
         if not is_replication_free(t):
@@ -129,13 +113,12 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
             queue.append(state)
         roots.append(index[state])
     edges_from: list[list] = []
-    texts: dict = {}
     pos = 0
     while pos < len(queue):
         s = queue[pos]
         pos += 1
         out = []
-        for a, q in _sorted_successors(_steps_cached(s, u), texts):
+        for a, q in _steps_cached(s, u):
             j = index.get(q)
             if j is None:
                 j = len(states)
@@ -144,7 +127,7 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
                 queue.append(q)
             out.append((a, j))
         edges_from.append(out)
-    return Lts(states, edges_from, roots, frozenset(), u)
+    return Lts([t for t, _k in states], edges_from, roots, frozenset(), u)
 
 
 def build_lts(p: Process, u: NameUniverse | None = None) -> Lts:
@@ -160,9 +143,11 @@ def build_lts_bounded(
 ) -> tuple[Lts, bool]:
     """Explore only executions of cumulative weight <= max_weight.
 
-    Works on replicated terms too.  Returns the graph and a flag that is
-    true iff some edge was cut off at the frontier; cut states are listed
-    in the graph's `truncated` set and never count as deadlocked.
+    Works on replicated terms too.  States are numbered as the
+    lightest-first search reaches them, in `derive_steps` order.  Returns
+    the graph and a flag that is true iff some edge was cut off at the
+    frontier; cut states are listed in the graph's `truncated` set and
+    never count as deadlocked.
     """
     if u is None:
         u = NameUniverse.for_terms(
@@ -173,18 +158,14 @@ def build_lts_bounded(
     index = {root: 0}
     states = [root]
     best = {0: 0}
-    succ_cache: dict[int, list] = {}
-    texts: dict = {}
+    expanded: dict[int, tuple] = {}
     truncated = set()
     heap = [(0, 0)]
     while heap:
         w, i = heapq.heappop(heap)
         if w > best[i]:
             continue
-        ts = succ_cache.get(i)
-        if ts is None:
-            ts = _sorted_successors(_steps_cached(states[i], u), texts)
-            succ_cache[i] = ts
+        ts = expanded[i] = _steps_cached(states[i], u)
         for a, q in ts:
             w2 = w + action_weight(a)
             if w2 > max_weight:
@@ -199,13 +180,13 @@ def build_lts_bounded(
                 best[j] = w2
                 heapq.heappush(heap, (w2, j))
     edges_from: list[list] = [[] for _ in states]
-    for i, ts in succ_cache.items():
+    for i, ts in expanded.items():
         w = best[i]
         for a, q in ts:
             if w + action_weight(a) <= max_weight:
                 edges_from[i].append((a, index[q]))
     flag = bool(truncated)
-    return Lts(states, edges_from, [0], truncated, u), flag
+    return Lts([t for t, _k in states], edges_from, [0], truncated, u), flag
 
 
 def _topological_order(l: Lts):

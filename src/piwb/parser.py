@@ -238,21 +238,39 @@ def _prefix_text(pi) -> str:
 # Precedence levels: 0 = parallel context, 1 = sum context, 2 = seq context.
 # Parsing is left-associative, so right-nested sums/parallels take parens.
 def _render(p: Process, level: int) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Prefixed):
-        return f"{_prefix_text(p.prefix)}.{_render(p.cont, 2)}"
-    if isinstance(p, Sum):
-        text = f"{_render(p.left, 1)} + {_render(p.right, 2)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(p, Par):
-        text = f"{_render(p.left, 0)} | {_render(p.right, 1)}"
-        return f"({text})" if level > 0 else text
-    if isinstance(p, Restrict):
-        return f"new {p.binder}.{_render(p.body, 2)}"
-    if isinstance(p, Repl):
-        return f"!{_render(p.body, 2)}"
-    raise TypeError(f"not a process: {p!r}")
+    # Left to right on an explicit stack of literal text and (term,
+    # level) items, so deep terms need no deep recursion.
+    parts = []
+    todo = [(p, level)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        p, level = item
+        if isinstance(p, Nil):
+            parts.append("0")
+        elif isinstance(p, Prefixed):
+            parts.append(f"{_prefix_text(p.prefix)}.")
+            todo.append((p.cont, 2))
+        elif isinstance(p, (Sum, Par)):
+            if isinstance(p, Sum):
+                op, left, right, paren = " + ", 1, 2, level > 1
+            else:
+                op, left, right, paren = " | ", 0, 1, level > 0
+            if paren:
+                parts.append("(")
+                todo.append(")")
+            todo += [(p.right, right), op, (p.left, left)]
+        elif isinstance(p, Restrict):
+            parts.append(f"new {p.binder}.")
+            todo.append((p.body, 2))
+        elif isinstance(p, Repl):
+            parts.append("!")
+            todo.append((p.body, 2))
+        else:
+            raise TypeError(f"not a process: {p!r}")
+    return "".join(parts)
 
 
 def pretty(p: Process) -> str:

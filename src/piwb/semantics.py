@@ -21,6 +21,13 @@ Actions are interned in a table of this module.  Both are fast paths
 only: equality stays structural, and `clear_transition_cache` empties
 the transition cache and both tables together.
 
+A state's steps are distinct and listed in derivation order, which the
+term's structure alone fixes (left before right, each component's own
+moves before communications, known names before pool names).  Every
+exploration that walks them -- graphs, class indices, split searches --
+therefore visits states in the same order under every hash seed, with
+no sorting or rendering.
+
 Communication (the tau steps between parallel components) is derived
 structurally from the sender's output and the receiver's input prefixes,
 so it never depends on the input instantiation mode.  Bound outputs
@@ -256,10 +263,11 @@ def start_index(p: Process, u: NameUniverse) -> int:
 _actions: dict = {}
 
 
-def derive_steps(state: tuple[Process, int], u: NameUniverse) -> frozenset:
+def derive_steps(state: tuple[Process, int], u: NameUniverse) -> tuple:
     """Uncached step derivation on an exploration state.
 
-    Returns (action, successor-state) pairs; successors are
+    Returns the distinct (action, successor-state) pairs in derivation
+    order, the same under every hash seed; successors are
     alpha-canonical, interned with `hashcons` (so they share every
     unchanged subterm with `state` and with each other), and carry the
     updated pool cursor.  Actions are interned too.
@@ -281,7 +289,7 @@ def derive_steps(state: tuple[Process, int], u: NameUniverse) -> frozenset:
         a = _actions.setdefault(a, a)
         q = hashcons(alpha_canonical(q, avoid=avoid))
         out.append((a, (q, consumed + 1 if bump else consumed)))
-    return frozenset(out)
+    return tuple(dict.fromkeys(out))
 
 
 _cache: dict = {}
@@ -295,7 +303,7 @@ def clear_transition_cache():
     clear_hashcons()
 
 
-def _steps_cached(state: tuple[Process, int], u: NameUniverse) -> frozenset:
+def _steps_cached(state: tuple[Process, int], u: NameUniverse) -> tuple:
     key = (state, u)
     hit = _cache.get(key)
     if hit is None:

@@ -208,14 +208,35 @@ def test_exhausted_fresh_pool_is_usage_error(capsys):
     assert err.startswith("error: ") and "fresh pool" in err
 
 
-def test_bisim_witness_independent_of_hash_seed():
+@pytest.mark.parametrize(
+    "args, nontrivial",
+    [
+        pytest.param(
+            ["bisim", "--witness", "a!b.0 | b?(x).x!c.0",
+             "a!b.b?(x).x!c.0 + b?(x).(a!b.0 | x!c.0) + tau.c!c.0"],
+            lambda r: len(r["partition"]["blocks"]) > 3,
+            id="bisim-witness",
+        ),
+        pytest.param(
+            ["decompose", "--mode", "weak",
+             "new z.(tau.(a!c.0 | tau.new y.b?(x).0) | [z=c]tau.0)"],
+            lambda r: len(r["factors"]) == 2,
+            id="decompose-weak",
+        ),
+        pytest.param(
+            ["lts", "b?(x).x!a.0 | b!c.0 | c?(y).0"],
+            lambda r: len(r["lts"]["edges"]) > 20,
+            id="lts",
+        ),
+    ],
+)
+def test_json_results_independent_of_hash_seed(args, nontrivial):
     src = Path(__file__).resolve().parent.parent / "src"
-    argv = [sys.executable, "-m", "piwb.cli", "--json", "bisim", "--witness",
-            "a!b.0 | b?(x).x!c.0", "a!b.b?(x).x!c.0 + b?(x).(a!b.0 | x!c.0) + tau.c!c.0"]
+    argv = [sys.executable, "-m", "piwb.cli", "--json", *args]
     results = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         results.append(json.loads(done.stdout)["results"])
     assert results[0] == results[1]
-    assert len(results[0]["partition"]["blocks"]) > 3
+    assert nontrivial(results[0])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import pytest
 
 from piwb import (
+    NIL,
     Inconclusive,
     NameUniverse,
     NotFinite,
@@ -14,6 +15,7 @@ from piwb import (
     build_lts,
     build_lts_bounded,
     depth,
+    has_stuttering,
     is_deadlocked,
     is_replication_free,
     norm,
@@ -27,7 +29,7 @@ from piwb.lts import build_lts_multi
 from piwb.normalize import expand_hnf
 from piwb.parser import _render, action_text
 from piwb.semantics import derive_steps, start_index
-from piwb.syntax import TAU_ACT, FreeOut, alpha_canonical
+from piwb.syntax import TAU_ACT, FreeOut, Output, Prefixed, alpha_canonical
 
 from conftest import process_pairs, processes, tau_pad
 
@@ -210,9 +212,9 @@ def _check_style_pairs():
 
 
 def _reference_json(terms, u):
-    """The graph `build_lts_multi` defines, rendering one text per edge:
-    breadth first, successors ordered by action, rendered successor and
-    pool cursor."""
+    """The graph `build_lts_multi` defines: breadth first from the roots
+    at their shared pool cursor, each state's steps in `derive_steps`
+    order, states numbered on first sight."""
     k0 = max(start_index(t, u) for t in terms)
     index, states, roots = {}, [], []
     for t in terms:
@@ -226,12 +228,7 @@ def _reference_json(terms, u):
     while pos < len(states):
         i = pos
         pos += 1
-        steps = sorted(
-            derive_steps(states[i], u),
-            key=lambda aq: (type(aq[0]).__name__, action_text(aq[0]),
-                            _render(aq[1][0], 0), aq[1][1]),
-        )
-        for a, q in steps:
+        for a, q in derive_steps(states[i], u):
             if q not in index:
                 index[q] = len(states)
                 states.append(q)
@@ -244,9 +241,25 @@ def _reference_json(terms, u):
     }
 
 
-def test_graph_order_and_json_unchanged_by_rendering_once():
+def test_graph_matches_breadth_first_reference():
     for p, q in _check_style_pairs():
         for terms in ([p, q], [Par(p, q)]):
             u = NameUniverse.for_terms(*terms)
             l = build_lts_multi(terms, u)
             assert l.to_json_dict() == _reference_json(terms, u)
+
+
+def test_chain_of_3000_prefixes_through_graphs():
+    # Building, measuring and printing a graph takes no frame per term
+    # level, so a 3,000-state chain is handled, not a RecursionError.
+    chain = NIL
+    for _ in range(3000):
+        chain = Prefixed(Output("a", "a"), chain)
+    l = build_lts(chain)
+    assert len(l) == 3001
+    assert depth(l) == 3000
+    assert norm(l) == 3000
+    assert has_stuttering(chain)[0] is False
+    got = l.to_json_dict()
+    assert got["states"][0] == "a!a." * 3000 + "0"
+    assert got["edges"][-1] == [2999, "a!a", 3000]

@@ -158,3 +158,20 @@ def test_tokenizer_spans():
     tokens = tokenize("a!b")
     assert [t[0] for t in tokens] == ["name", "!", "name", "eof"]
     assert tokens[1][2].start == 1
+
+
+def test_pretty_of_deep_terms():
+    # Rendering takes no frame per term level.
+    chain = NIL
+    for _ in range(3000):
+        chain = Prefixed(Output("a", "a"), chain)
+    assert pretty(chain) == "a!a." * 3000 + "0"
+    leaf = Prefixed(Output("a", "b"), NIL)
+    right = leaf
+    left = leaf
+    for _ in range(3000):
+        right = Par(leaf, right)
+        left = Sum(left, leaf)
+    assert pretty(right) == "a!b.0 | (" * 2999 + "a!b.0 | a!b.0" + ")" * 2999
+    assert pretty(left) == " + ".join(["a!b.0"] * 3001)
+    assert pretty(Prefixed(TAU, left)) == "tau.(" + pretty(left) + ")"

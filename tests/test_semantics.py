@@ -253,3 +253,19 @@ def test_successors_match_full_rebuild(mode):
                         seen.add(state)
                         queue.append(state)
     assert checked > 500
+
+
+def test_steps_distinct_in_derivation_order():
+    # Left summand before right, each component's own moves before a
+    # communication, known names before the pool name; a step derived
+    # twice is listed once.
+    p = parse("a!b.0 + c?(x).0 + a!b.0")
+    u = NameUniverse.for_terms(p)
+    assert [a for a, _q in derive_steps(state_for(p, u), u)] == [
+        FreeOut("a", "b"), In("c", "a"), In("c", "b"), In("c", "c"), In("c", "w0"),
+    ]
+    p = parse("a!b.0 | a?(x).0")
+    u = NameUniverse.for_terms(p)
+    acts = [a for a, _q in derive_steps(state_for(p, u), u)]
+    assert acts == [FreeOut("a", "b"), In("a", "a"), In("a", "b"), In("a", "w0"), TAU_ACT]
+    assert isinstance(transitions(p, u), frozenset)
