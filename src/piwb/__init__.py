@@ -96,6 +96,6 @@ from .decompose import (
     upd_sweep,
     verify_upd,
 )
-from .gen import TermGen, random_process
+from .gen import TermGen
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line front end and demo suite.
 
-Exit codes: 0 success, 1 property violation, 2 usage, syntax or
-resource error (a replicated term where a finite one is required, an
-exhausted fresh pool), 3 inconclusive (truncated norm or unverifiable
-normalization).
+Exit codes: 0 success, 1 property violation, otherwise the failing
+error's `exit_code`: 2 usage, syntax or resource error (a replicated term
+where a finite one is required, an exhausted fresh pool, a cyclic graph,
+an oracle instance over its bound), 3 inconclusive (truncated norm,
+unverifiable normalization, an exhausted search budget).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -25,16 +25,7 @@ from .decompose import (
     verify_upd,
 )
 from .equivalence import STRONG, WEAK, bisim
-from .errors import (
-    Inconclusive,
-    MalformedSum,
-    NormalizationIncomplete,
-    NotFinite,
-    ParseError,
-    PiwbError,
-    UniverseTooSmall,
-    UnknownDemo,
-)
+from .errors import Inconclusive, PiwbError, UnknownDemo
 from .lts import build_lts, build_lts_bounded, depth, norm
 from .normalize import has_stuttering, stutter_free
 from .parser import parse, pretty
@@ -47,21 +38,12 @@ from .syntax import (
     substitute,
 )
 
-_POOL_ENV = "PIWB_FRESH_POOL"
-
-
 class UsageError(PiwbError):
     """Missing operands or a malformed setting; exits with code 2."""
 
 
 def _universe(args, *terms) -> NameUniverse:
     pool = args.fresh_pool
-    if pool is None:
-        env = os.environ.get(_POOL_ENV)
-        try:
-            pool = int(env) if env else None
-        except ValueError:
-            raise UsageError(f"{_POOL_ENV} must be an integer, got {env!r}") from None
     if pool is not None and pool < 1:
         raise UsageError(f"fresh pool size must be positive, got {pool}")
     return NameUniverse.for_terms(
@@ -448,18 +430,10 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report, code = args.func(args, t0)
-    except (ParseError, MalformedSum, UsageError, NotFinite, UniverseTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (Inconclusive, NormalizationIncomplete) as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    except UnknownDemo as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PiwbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        label = "inconclusive" if exc.exit_code == 3 else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     if report is not None:
         _emit(args, report)
     return code

@@ -85,7 +85,8 @@ class BehaviorIndex:
     equivalent iff the frozensets {(action, class of successor)} coincide.
     Interning those sets gives the strong class id.  The weak layer
     saturates the strong quotient (a DAG, since every signature references
-    only earlier ids) and interns weak signatures over it.
+    only earlier ids) and interns each class's weak record, read off its
+    successors' records.
     """
 
     def __init__(self, universe: NameUniverse):
@@ -96,9 +97,8 @@ class BehaviorIndex:
         self.depths: list[int] = []
         # Weak layer, indexed by strong class id and filled on demand.
         self._weak: list[int] = []
-        self._weak_closure: list[frozenset] = []
         self._stutter_reach: list[bool] = []
-        self._weak_sigs: list = []  # weak id -> (visible part, tau part)
+        self._weak_sigs: list = []  # weak id -> (vis, proper) record
         self._weak_intern: dict = {}
 
     def class_of(self, term: Process) -> int:
@@ -160,41 +160,44 @@ class BehaviorIndex:
     #
     # Signature edges always point to strictly smaller class ids, so the
     # strong quotient is a DAG ordered by id and weak classes extend
-    # incrementally: a class either collapses into the weak class of a
-    # proper tau-descendant (its remaining behaviour adds nothing -- the
-    # stuttering case) or is the unique class with its saturated weak
-    # signature, interned on first sight.
+    # incrementally.  A class's weak record is (vis, proper): the weak
+    # moves (a, weak id) it can make through internal steps, and the weak
+    # ids of its proper tau-descendants.  It is read off the successors'
+    # records, since a successor's weak id together with its record's
+    # `proper` is exactly the weak image of its tau-closure.  A class
+    # either collapses into the weak class of a proper tau-descendant
+    # (its remaining behaviour adds nothing -- the stuttering case) or is
+    # the unique class with its record, interned on first sight.
 
     def _ensure_weak(self):
-        weak = self._weak
-        closures = self._weak_closure
+        weak, records = self._weak, self._weak_sigs
         for cid in range(len(weak), len(self.signatures)):
             sig = self.signatures[cid]
-            clo = {cid}
+            vis, proper = set(), set()
             for a, c2 in sig:
+                w = weak[c2]
+                vis2, proper2 = records[w]
                 if a == TAU_ACT:
-                    clo |= closures[c2]
-            proper = frozenset(weak[m] for m in clo if m != cid)
-            vis = set()
-            for m in clo:
-                for a, c2 in self.signatures[m]:
-                    if a != TAU_ACT:
-                        vis.update((a, weak[t]) for t in closures[c2])
-            vis = frozenset(vis)
+                    proper.add(w)
+                    proper |= proper2
+                    vis |= vis2
+                else:
+                    vis.add((a, w))
+                    vis.update((a, t) for t in proper2)
+            vis, proper = frozenset(vis), frozenset(proper)
             wid = None
             for c in proper:
-                if self._weak_sigs[c] == (vis, proper - {c}):
+                if records[c] == (vis, proper - {c}):
                     wid = c
                     break
             if wid is None:
                 key = (vis, proper)
                 wid = self._weak_intern.get(key)
                 if wid is None:
-                    wid = len(self._weak_sigs)
-                    self._weak_sigs.append(key)
+                    wid = len(records)
+                    records.append(key)
                     self._weak_intern[key] = wid
             weak.append(wid)
-            closures.append(frozenset(clo))
             self._stutter_reach.append(
                 any(a == TAU_ACT and weak[c2] == wid for a, c2 in sig)
                 or any(self._stutter_reach[c2] for _a, c2 in sig)

@@ -2,7 +2,13 @@
 
 
 class PiwbError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `exit_code` is what the command-line front end exits with: 2 for
+    usage, syntax and resource errors, 3 for inconclusive outcomes.
+    """
+
+    exit_code = 2
 
 
 class MalformedSum(PiwbError):
@@ -37,6 +43,8 @@ class CyclicLts(PiwbError):
 class Inconclusive(PiwbError):
     """A truncated exploration has no deadlocked state, so norm is unknown."""
 
+    exit_code = 3
+
 
 class TooLarge(PiwbError):
     """Instance exceeds the configured bound of the naive oracle."""
@@ -49,6 +57,8 @@ class NormalizationIncomplete(PiwbError):
     stuttering witness (a pair of weakly bisimilar states joined by tau).
     """
 
+    exit_code = 3
+
     def __init__(self, message, report=None, witness=None):
         super().__init__(message)
         self.report = report
@@ -57,6 +67,8 @@ class NormalizationIncomplete(PiwbError):
 
 class Aborted(PiwbError):
     """An exhaustive search exceeded its budget; `progress` pairs were checked."""
+
+    exit_code = 3
 
     def __init__(self, message, progress=0):
         super().__init__(message)

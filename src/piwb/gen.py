@@ -32,14 +32,10 @@ class TermGen:
         self,
         seed=0,
         names=("a", "b", "c"),
-        allow_restriction=True,
-        allow_match=True,
         binder_prefix="u",
     ):
         self.rng = random.Random(seed)
         self.names = tuple(names)
-        self.allow_restriction = allow_restriction
-        self.allow_match = allow_match
         self.binder_prefix = binder_prefix
         self._binder_index = 0
 
@@ -64,7 +60,7 @@ class TermGen:
             core = Input(self._name(scope), binder)
         else:
             core = TAU
-        if self.allow_match and self.rng.random() < 0.15:
+        if self.rng.random() < 0.15:
             core = Match(self._name(scope), self._name(scope), core)
         return core, binder
 
@@ -85,7 +81,7 @@ class TermGen:
             return Sum(
                 self._summation(split, scope), self._summation(size - split, scope)
             )
-        if roll < 0.9 or not self.allow_restriction:
+        if roll < 0.9:
             split = self.rng.randint(1, size - 1)
             return Par(self.term(split, scope), self.term(size - split, scope))
         binder = self._fresh_binder()
@@ -109,7 +105,3 @@ class TermGen:
     def pair(self, size: int):
         """Two terms with mutually disjoint binders (freshness convention)."""
         return self.term(size), self.term(size)
-
-
-def random_process(seed=0, size=8, names=("a", "b", "c"), **kwargs) -> Process:
-    return TermGen(seed, names, **kwargs).term(size)

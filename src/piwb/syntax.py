@@ -10,15 +10,19 @@ from the outside in, while siblings share names (`a?(x).0 | b?(y).0` is
 `a?(v0).0 | b?(v0).0`), and every factor or summand of a canonical term
 is canonical on its own.
 
-Terms share structure.  alpha_canonical and substitute return the input
-node itself wherever nothing under it changes, and hashcons interns
-terms so that equal subtrees become one object.  Each node caches its
-free names and a level tag, so a term built from canonical parts is
-recognized as canonical in time proportional to its new nodes.
-Equality is structural throughout; `self is other` is only its fast
-path, so no result depends on whether two equal terms were interned.
-The name analysis, canonical forms and interning use explicit stacks,
-so deep terms need no deep recursion.
+Both renamings are one walk, `_level_walk`, which names every binder by
+its level and maps free names through an environment that starts empty
+for alpha_canonical and as `{old: new}` for substitute.  A substitution
+therefore cannot capture, and its result is level-named itself.
+
+Terms share structure.  The walk returns the input node itself wherever
+nothing under it changes, and hashcons interns terms so that equal
+subtrees become one object.  Each node caches its free names and a level
+tag, so a term built from canonical parts is recognized as canonical in
+time proportional to its new nodes.  Equality is structural throughout;
+`self is other` is only its fast path, so no result depends on whether
+two equal terms were interned.  The name analysis, renaming and
+interning use explicit stacks, so deep terms need no deep recursion.
 """
 
 from __future__ import annotations
@@ -588,48 +592,19 @@ def validate(p: Process) -> None:
 # Substitution and alpha-canonical form
 
 
-def _fresh_name(avoid: set[Name]) -> Name:
-    i = 0
-    while canonical_binder(i) in avoid:
-        i += 1
-    return canonical_binder(i)
-
-
 def substitute(p: Process, new: Name, old: Name) -> Process:
     """Replace every free occurrence of `old` by `new`, avoiding capture.
 
-    Binders named `new` are renamed apart before descending so that no
-    substituted occurrence becomes bound.
+    One level walk (`_level_walk`) seeded with the renaming: every binder
+    takes its level name, skipping the result's free names, so no binder
+    can capture `new`.  The output is therefore level-named, alpha-
+    equivalent to any capture-avoiding substitution, and shares every
+    subtree that neither mentions `old` nor needs renaming.  `p` itself
+    when `old` is not free in it.
     """
     if old == new or old not in free_names(p):
         return p
-    if isinstance(p, Prefixed):
-        env = {old: new}
-        binder, cont = _prefix_binder(p.prefix), p.cont
-        if binder == old:
-            # old is re-bound below; only the prefix's own names are free.
-            return Prefixed(_rename_prefix(p.prefix, env, binder), cont)
-        if binder == new and old in free_names(cont):
-            fresh = _fresh_name(set(free_names(cont)) | {new, old})
-            cont = substitute(cont, fresh, binder)
-            binder = fresh
-        return Prefixed(_rename_prefix(p.prefix, env, binder), substitute(cont, new, old))
-    if isinstance(p, Sum):
-        return Sum(substitute(p.left, new, old), substitute(p.right, new, old))
-    if isinstance(p, Par):
-        return Par(substitute(p.left, new, old), substitute(p.right, new, old))
-    if isinstance(p, Restrict):
-        binder, body = p.binder, p.body
-        if binder == old:
-            return p
-        if binder == new and old in free_names(body):
-            fresh = _fresh_name(set(free_names(body)) | {new, old})
-            body = substitute(body, fresh, binder)
-            binder = fresh
-        return Restrict(binder, substitute(body, new, old))
-    if isinstance(p, Repl):
-        return Repl(substitute(p.body, new, old))
-    raise TypeError(f"not a process: {p!r}")
+    return _level_walk(p, (free_names(p) - {old}) | {new}, {old: new})
 
 
 # Level naming.  A binder under d enclosing binders takes the d-th
@@ -681,12 +656,18 @@ def _join_levels(left: int, right: int) -> int:
     return _UNLEVELLED
 
 
-def _level_walk(p: Process, taken: frozenset[Name]) -> Process:
-    """Rename every binder of `p` to its level name, skipping `taken`.
+def _level_walk(
+    p: Process, taken: frozenset[Name], env: dict[Name, Name]
+) -> Process:
+    """Rename every binder of `p` to its level name, skipping `taken`, and
+    every free name that is a key of `env` to its value.
 
     A node whose binder keeps its name and whose children come back
-    unchanged is returned as is.  `env` maps the bound names in scope to
-    their new names and holds no name that keeps its own.  A subtree
+    unchanged is returned as is.  `env` starts as the free-name renaming
+    (empty for a canonical form, `{old: new}` for a substitution); the
+    walk adds the bound names in scope with their new names, and it holds
+    no name that keeps its own.  `taken` must hold every free name of the
+    result, so no binder captures a renamed occurrence.  A subtree
     already level-named at its depth, none of whose free names is
     renamed, is returned without a visit when its level names are the
     ones this walk hands out: no name below its depth was skipped, and
@@ -709,7 +690,7 @@ def _level_walk(p: Process, taken: frozenset[Name]) -> Process:
 
     levels_free = _LEVELS.keys().isdisjoint(taken)
     done: list[Process] = []
-    todo: list = [(p, 0, {})]
+    todo: list = [(p, 0, env)]
     while todo:
         t, depth, env = todo.pop()
         if depth < 0:
@@ -826,7 +807,7 @@ def alpha_canonical(p: Process, avoid: frozenset[Name] = frozenset()) -> Process
     fn = free_names(p)
     if tag == 0 and _LEVELS.keys().isdisjoint(fn) and _LEVELS.keys().isdisjoint(avoid):
         return p
-    return _level_walk(p, fn | avoid)
+    return _level_walk(p, fn | avoid, {})
 
 
 _hashcons_table: dict = {}

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from piwb import cli
 from piwb.cli import run
+from piwb.errors import (
+    Aborted,
+    Inconclusive,
+    NormalizationIncomplete,
+    ParseError,
+    PiwbError,
+)
 
 
 def test_norm_command(capsys):
@@ -174,27 +182,11 @@ def test_verify_upd_without_operands_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_bad_fresh_pool_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PIWB_FRESH_POOL", "abc")
-    assert run(["depth", "a!b.0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "PIWB_FRESH_POOL" in err
-    monkeypatch.setenv("PIWB_FRESH_POOL", "3")
-    assert run(["depth", "a!b.0"]) == 0
-
-
 def test_nonpositive_fresh_pool_flag_is_usage_error(capsys):
     assert run(["--fresh-pool", "0", "depth", "a?(x).0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fresh pool" in err
     assert run(["--fresh-pool", "1", "depth", "a!b.0"]) == 0
-
-
-def test_nonpositive_fresh_pool_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PIWB_FRESH_POOL", "-3")
-    assert run(["depth", "a!b.0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fresh pool" in err
 
 
 def test_replicated_term_is_usage_error(capsys):
@@ -206,6 +198,31 @@ def test_exhausted_fresh_pool_is_usage_error(capsys):
     assert run(["--fresh-pool", "1", "depth", "a?(x).a?(y).0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fresh pool" in err
+
+
+def _error_types(cls=PiwbError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(_error_types(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_exit_code_is_a_property_of_the_error_type(cls, capsys, monkeypatch):
+    # Exit code 1 is left to violated properties: every error exits 2,
+    # or 3 when the outcome is inconclusive.
+    inconclusive = cls in (Inconclusive, NormalizationIncomplete, Aborted)
+    want = 3 if inconclusive else 2
+    assert cls.exit_code == want
+    exc = cls("boom", None) if cls is ParseError else cls("boom")
+
+    def fail(args, t0):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_depth", fail)
+    assert run(["depth", "a!b.0"]) == want
+    label = "inconclusive" if inconclusive else "error"
+    assert capsys.readouterr().err == f"{label}: boom\n"
 
 
 @pytest.mark.parametrize(

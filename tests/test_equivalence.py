@@ -16,6 +16,7 @@ from piwb import (
     STRONG,
     Sum,
     TermGen,
+    TermUniverse,
     TooLarge,
     WEAK,
     bisim,
@@ -31,8 +32,8 @@ from piwb import (
 )
 from piwb.decompose import scope_narrow
 from piwb.lts import build_lts_multi
-from piwb.syntax import Output
-from piwb.normalize import expand_hnf
+from piwb.syntax import Input, Output
+from piwb.normalize import expand_hnf, has_stuttering
 
 from conftest import process_pairs, processes, tau_pad
 
@@ -241,6 +242,65 @@ def test_deep_chain_classified_without_deep_recursion():
         chain = Prefixed(Output("a", "a"), chain)
     assert not bisim(chain, Prefixed(TAU, chain), STRONG)[0]
     assert bisim(chain, Prefixed(TAU, chain), WEAK)[0]
+
+
+def test_input_over_1000_prefix_continuation():
+    # The input step substitutes into the whole continuation; that walk
+    # takes no frame per level (it raised RecursionError when
+    # substitution recursed).
+    d = NIL
+    for _ in range(1000):
+        d = Prefixed(Output("x", "a"), d)
+    d = Prefixed(Input("a", "x"), d)
+    assert strong_bisim(d, d)[0] is True
+    assert weak_bisim(d, Prefixed(TAU, d))[0] is True
+
+
+def test_weak_layer_against_references():
+    # Every term of the size-4 universe over {a, b}, in both input
+    # disciplines: the index's stuttering flags against has_stuttering
+    # (explicit graph and refine), and its weak classes against the
+    # independent oracle on random pairs, on pairs from one weak class,
+    # on tau-padded copies, and on sums of universe terms whose weak
+    # records need internal steps on both sides of a visible one.
+    tu = TermUniverse(["a", "b"], 4)
+    terms = list(tu.enumerate())
+    rng = random.Random(9)
+    for input_mode in ("early", "fresh-only"):
+        u = NameUniverse.for_terms(extra_known=tu.names, pool_size=6,
+                                   input_mode=input_mode)
+        index = BehaviorIndex(u)
+        flags = []
+        for t in terms:
+            flag = index.stutters(index.class_of(t))
+            assert flag == has_stuttering(t, u)[0], (input_mode, t)
+            flags.append(flag)
+        assert set(flags) == {True, False}, input_mode
+        by_class = {}
+        for t in terms:
+            by_class.setdefault(index.weak_class_of(t), []).append(t)
+        shared = [ts for ts in by_class.values() if len(ts) > 1]
+        pairs = [rng.sample(terms, 2) for _ in range(200)]
+        pairs += [rng.sample(rng.choice(shared), 2) for _ in range(200)]
+        pairs += [(p, tau_pad(p, rng)) for p, _q in rng.sample(pairs, 200)]
+        summations = [t for t in terms if isinstance(t, (Prefixed, Sum))]
+        out = Output("a", "b")
+        for _ in range(100):
+            x, y, z = rng.sample(summations, 3)
+            inner = Sum(y, Prefixed(TAU, z))
+            s = Sum(x, Prefixed(TAU, inner))
+            pairs += [
+                (s, Prefixed(TAU, s)),
+                (Prefixed(out, s), Sum(Prefixed(out, s), Prefixed(out, inner))),
+                (s, Sum(x, inner)),
+            ]
+        verdicts = []
+        for p, q in pairs:
+            want = naive_bisim_oracle(p, q, WEAK, u)
+            same = index.weak_class_of(p) == index.weak_class_of(q)
+            assert same == want, (input_mode, p, q)
+            verdicts.append(want)
+        assert set(verdicts) == {True, False}, input_mode
 
 
 def test_chain_of_3000_prefixes_against_tau_copy():

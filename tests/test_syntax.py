@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
@@ -140,6 +140,101 @@ def test_substitute_free_name_law(p, new):
 def test_substitute_absent_name_is_identity():
     p = parse("a!b.0")
     assert substitute(p, "x", "q") is p
+
+
+def _recursive_substitute(p, new, old):
+    """Reference: the recursive substitution that renames a binder named
+    `new` apart only where `old` occurs under it.  One frame per level,
+    so for small terms only."""
+    from piwb.syntax import Sum, _prefix_binder, _rename_prefix
+
+    def fresh_name(avoid):
+        i = 0
+        while f"v{i}" in avoid:
+            i += 1
+        return f"v{i}"
+
+    def go(p, new, old):
+        if old == new or old not in free_names(p):
+            return p
+        if isinstance(p, Prefixed):
+            env = {old: new}
+            binder, cont = _prefix_binder(p.prefix), p.cont
+            if binder == old:
+                return Prefixed(_rename_prefix(p.prefix, env, binder), cont)
+            if binder == new and old in free_names(cont):
+                fresh = fresh_name(set(free_names(cont)) | {new, old})
+                cont = go(cont, fresh, binder)
+                binder = fresh
+            return Prefixed(_rename_prefix(p.prefix, env, binder), go(cont, new, old))
+        if isinstance(p, (Sum, Par)):
+            return type(p)(go(p.left, new, old), go(p.right, new, old))
+        if isinstance(p, Restrict):
+            binder, body = p.binder, p.body
+            if binder == old:
+                return p
+            if binder == new and old in free_names(body):
+                fresh = fresh_name(set(free_names(body)) | {new, old})
+                body = go(body, fresh, binder)
+                binder = fresh
+            return Restrict(binder, go(body, new, old))
+        if isinstance(p, Repl):
+            return Repl(go(p.body, new, old))
+        raise TypeError(p)
+
+    return go(p, new, old)
+
+
+@given(processes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_recursive_reference(p, data):
+    # `new` may be the name of a binder of `p` (capture) or a level name.
+    new = data.draw(st.sampled_from(sorted(names(p) | {"a", "d", "v0", "v1"})))
+    for old in sorted(free_names(p)):
+        got = substitute(p, new, old)
+        want = _recursive_substitute(p, new, old)
+        assert alpha_equivalent(got, want), (p, new, old)
+        if old != new:
+            # The result is level-named: its own canonical form.
+            assert got == level_canonical(want)
+
+
+def test_substitute_capture_cases_against_reference():
+    # A binder named `new` with `old` free under it, at the top, nested
+    # and under a restriction, and a binder named `old` that shadows it.
+    cases = [
+        ("a?(x).z!x.0", "x", "z"),
+        ("b!z.a?(x).(x!z.0 | new z.z!x.0)", "x", "z"),
+        ("new x.(x!z.0 | a?(y).y!z.0)", "x", "z"),
+        ("a?(y).b?(x).[x=z]y!z.0", "x", "z"),
+        ("z!z.new z.z!a.0", "a", "z"),
+    ]
+    for text, new, old in cases:
+        p = parse(text)
+        got = substitute(p, new, old)
+        assert alpha_equivalent(got, _recursive_substitute(p, new, old)), text
+        assert free_names(got) == (free_names(p) - {old}) | {new}
+    # Replacing a free level name frees it for the binders.
+    got = substitute(parse("v0!a.b?(x).x!v0.0"), "c", "v0")
+    assert got == Prefixed(Output("c", "a"), Prefixed(
+        Input("b", "v0"), Prefixed(Output("v0", "c"), NIL)))
+
+
+def test_substitute_into_chain_of_10000_prefixes():
+    # One level walk, no frame per level: the recursive version raised
+    # RecursionError here.
+    chain = NIL
+    for _ in range(10_000):
+        chain = Prefixed(Output("x", "a"), chain)
+    chain = Prefixed(Input("a", "y"), Restrict("x", chain))
+    got = substitute(chain, "x", "a")
+    assert free_names(got) == {"x"}
+    assert got.prefix == Input("x", "v0")
+    t, depth = got.cont.body, 0
+    while isinstance(t, Prefixed):
+        assert t.prefix == Output("v1", "x")
+        t, depth = t.cont, depth + 1
+    assert depth == 10_000
 
 
 def test_alpha_canonical_identifies_variants():
