@@ -131,6 +131,56 @@ def parallel_factors(p: Process) -> list[Process]:
     return out
 
 
+def _never_equal(lhs, rhs, scope: dict) -> bool:
+    """Can the names of a guard [lhs=rhs] never be made equal?  Only an
+    input can rename a name, and only to one already in scope when it
+    fires: a free name or one bound further out.  `scope` maps each
+    bound name to (its binder's nesting depth, bound by an input)."""
+    if lhs == rhs:
+        return False
+    depth_l, input_l = scope.get(lhs, (-1, False))
+    depth_r, input_r = scope.get(rhs, (-1, False))
+    return not (input_l and depth_r < depth_l) and not (input_r and depth_l < depth_r)
+
+
+def _without_dead_guards(p: Process, scope: dict, depth: int = 0) -> Process:
+    """`p` with every prefix whose guard can never hold removed: it
+    becomes 0, and a 0 left as a summand or a parallel component goes.
+    Such a prefix never fires, so the result is strongly bisimilar to
+    `p`.  A restricted name differs from every name bound outside its
+    scope, so under `new z` a guard [a=z] with `a` free is dead.
+    `depth` counts the binders enclosing `p`."""
+    if isinstance(p, Prefixed):
+        pi = p.prefix
+        while isinstance(pi, Match):
+            if _never_equal(pi.lhs, pi.rhs, scope):
+                return NIL
+            pi = pi.inner
+        if isinstance(pi, Input):
+            scope = {**scope, pi.binder: (depth, True)}
+            depth += 1
+        cont = _without_dead_guards(p.cont, scope, depth)
+        return p if cont is p.cont else Prefixed(p.prefix, cont)
+    if isinstance(p, (Sum, Par)):
+        left = _without_dead_guards(p.left, scope, depth)
+        right = _without_dead_guards(p.right, scope, depth)
+        if isinstance(right, Nil):
+            return left
+        if isinstance(left, Nil):
+            return right
+        if left is p.left and right is p.right:
+            return p
+        return type(p)(left, right)
+    if isinstance(p, Restrict):
+        inner = {**scope, p.binder: (depth, False)}
+        body = _without_dead_guards(p.body, inner, depth + 1)
+        return p if body is p.body else Restrict(p.binder, body)
+    if isinstance(p, Repl):
+        body = _without_dead_guards(p.body, scope, depth)
+        return p if body is p.body else Repl(body)
+    return p
+
+
 # --------------------------------------------------------------------------
 # Term universe enumeration
 
@@ -773,7 +823,10 @@ def _decompose(p: Process, mode: str, index: BehaviorIndex):
         else:
             for part in got:
                 queue += _factor_classes(part, index, mode, nil)
-    factors = Decomposition([f for _c, f in final], mode, index.universe.input_mode)
+    # Split parts are restricted derivatives of their parent: the guards
+    # and restrictions they inherit and can no longer use do not show.
+    reported = [scope_narrow(_without_dead_guards(f, {})) for _c, f in final]
+    factors = Decomposition(reported, mode, index.universe.input_mode)
     return factors, sorted(c for c, _f in final)
 
 
@@ -962,14 +1015,22 @@ class _Sweep:
         cid = strong if self.mode == STRONG else index.weak_id(strong)
         if cid == self.nil:
             return
-        factors = _factor_classes(term, index, self.mode, self.nil)
-        key = tuple(sorted(cid for cid, _f in factors))
+        key = self.factor_key(term, cid)
         self.member_count[cid] = self.member_count.get(cid, 0) + 1
         by_class = self.factorizations.setdefault(cid, {})
         if key not in by_class:
             by_class[key] = _render(term, 0)
         if cid not in self.class_depth:
             self.class_depth[cid] = index.depths[strong]
+
+    def factor_key(self, term: Process, cid: int) -> tuple[int, ...]:
+        """Sorted class ids of the factors of `term`, whose class `cid` is
+        not 0's.  A summation is its own only factor: narrowing it leaves
+        an equivalent summation."""
+        if isinstance(term, (Nil, Prefixed, Sum)):
+            return (cid,)
+        factors = _factor_classes(term, self.index, self.mode, self.nil)
+        return tuple(sorted(c for c, _f in factors))
 
     def collect_violations(self) -> list:
         final: dict[int, Counter] = {}

@@ -13,7 +13,7 @@ import math
 
 from .errors import CyclicLts, Inconclusive, NotFinite
 from .parser import _render, action_text
-from .semantics import NameUniverse, _steps_cached, start_index
+from .semantics import NameUniverse, _steps_cached, derive_steps, start_index
 from .syntax import (
     Action,
     Process,
@@ -91,10 +91,11 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
 
     States are numbered as the search reaches them, taking each state's
     steps in `derive_steps` order, so numbering and edge order are the
-    same under every hash seed.  All roots share one starting pool
-    cursor so their input instantiation aligns.  Accepts operationally
-    meaningful terms outside the two-level grammar (sums over
-    restriction-wrapped bound outputs, as produced by head normal
+    same under every hash seed.  The search's own index derives each
+    state once, so no transition cache is read.  All roots share one
+    starting pool cursor so their input instantiation aligns.  Accepts
+    operationally meaningful terms outside the two-level grammar (sums
+    over restriction-wrapped bound outputs, as produced by head normal
     forms); the public build_lts validates its input first.
     """
     for t in terms:
@@ -118,7 +119,7 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
         s = queue[pos]
         pos += 1
         out = []
-        for a, q in _steps_cached(s, u):
+        for a, q in derive_steps(s, u):
             j = index.get(q)
             if j is None:
                 j = len(states)

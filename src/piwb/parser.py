@@ -146,28 +146,44 @@ class _Parser:
 
     # seq ::= "0" | prefix "." seq | "new" name "." seq | "!" seq | "(" proc ")"
     def parse_seq(self) -> Process:
-        kind, value, span = self.peek()
-        if kind == "0":
-            self.advance()
-            return NIL
-        if kind == "new":
-            self.advance()
-            name = self.expect("name")[1]
-            self.expect(".")
-            return Restrict(name, self.parse_seq())
-        if kind == "!":
-            self.advance()
-            return Repl(self.parse_seq())
-        if kind == "(":
-            self.advance()
-            term = self.parse_par()
-            self.expect(")")
-            return term
-        if kind in ("name", "tau", "["):
-            prefix = self.parse_prefix()
-            self.expect(".")
-            return Prefixed(prefix, self.parse_seq())
-        self.fail(("0", "new", "!", "(", "name", "tau", "["))
+        # Prefixes, restrictions and replications extend to the right: they
+        # are collected in a loop (a prefix, a restricted name, or None for
+        # "!") and applied innermost first, so long chains need no deep
+        # recursion.
+        heads = []
+        while True:
+            kind = self.peek()[0]
+            if kind == "0":
+                self.advance()
+                term = NIL
+                break
+            if kind == "new":
+                self.advance()
+                name = self.expect("name")[1]
+                self.expect(".")
+                heads.append(name)
+            elif kind == "!":
+                self.advance()
+                heads.append(None)
+            elif kind == "(":
+                self.advance()
+                term = self.parse_par()
+                self.expect(")")
+                break
+            elif kind in ("name", "tau", "["):
+                prefix = self.parse_prefix()
+                self.expect(".")
+                heads.append(prefix)
+            else:
+                self.fail(("0", "new", "!", "(", "name", "tau", "["))
+        for head in reversed(heads):
+            if head is None:
+                term = Repl(term)
+            elif type(head) is str:
+                term = Restrict(head, term)
+            else:
+                term = Prefixed(head, term)
+        return term
 
     # prefix ::= ("[" name "=" name "]")* basic
     def parse_prefix(self):

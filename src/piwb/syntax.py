@@ -370,17 +370,6 @@ class TauAction(Action):
 TAU_ACT = TauAction()
 
 
-def action_names(a: Action) -> frozenset[Name]:
-    """All names mentioned by an action, bound or free."""
-    if isinstance(a, FreeOut):
-        return frozenset((a.chan, a.datum))
-    if isinstance(a, BoundOut):
-        return frozenset((a.chan, a.binder))
-    if isinstance(a, In):
-        return frozenset((a.chan, a.datum))
-    return frozenset()
-
-
 # --------------------------------------------------------------------------
 # Name analysis
 

@@ -257,3 +257,20 @@ def test_json_results_independent_of_hash_seed(args, nontrivial):
         results.append(json.loads(done.stdout)["results"])
     assert results[0] == results[1]
     assert nontrivial(results[0])
+
+
+@pytest.mark.parametrize(
+    "term, mode",
+    [
+        (" | ".join(["a!b.0"] + ["0"] * 9_999), "strong"),
+        (" + ".join(["a!b.0"] * 10_000), "strong"),
+        ("new z." * 10_000 + "a!b.0", "strong"),
+        ("tau." * 10_000 + "a!b.0", "weak"),
+    ],
+    ids=["par", "sum", "new", "prefix"],
+)
+def test_terms_nested_10000_deep(term, mode, capsys):
+    # Parsing, step derivation and the class engine take no stack frame
+    # per level of `|`, `+`, `new` or prefix nesting.
+    assert run(["bisim", "--mode", mode, term, "a!b.0"]) == 0
+    assert "bisimilar: True" in capsys.readouterr().out

@@ -30,8 +30,12 @@ from piwb.decompose import (
     NO_SPLIT,
     SplitFound,
     TermUniverse,
+    _Sweep,
+    _factor_classes,
+    _without_dead_guards,
     parallel_factors,
 )
+from piwb.equivalence import naive_bisim_oracle
 from piwb.gen import TermGen
 from piwb.normalize import expand_hnf
 
@@ -148,6 +152,30 @@ def test_split_parts_restrict_received_names(mode):
     assert multiset_eq_mod_bisim(
         d, Decomposition([parse("b?(x).0")] * 2, mode, "fresh-only")
     )
+    # The parts' dead guards and unused restrictions are not reported.
+    assert [pretty(f) for f in d] == ["b?(v0).0", "b?(v0).0"]
+
+
+def test_dead_guard_pruning_against_oracle():
+    # Pruning a prefix whose guard can never hold keeps the term strongly
+    # bisimilar, by the independent oracle.  A guard on a name an input
+    # may still receive stays: pruning it would change the behaviour.
+    gen = TermGen(57, ("a", "b"))
+    pruned = 0
+    for i in range(400):
+        p = gen.term(3 + i % 5)
+        q = _without_dead_guards(p, {})
+        if q == p:
+            continue
+        pruned += 1
+        assert naive_bisim_oracle(p, q, STRONG), pretty(p)
+    assert pruned > 20
+    live = parse("new z.(a!z.0 | a?(x).[x=z]b!b.0)")
+    assert _without_dead_guards(live, {}) is live
+    wrong = parse("new z.(a!z.0 | a?(x).0)")
+    assert not naive_bisim_oracle(live, wrong, STRONG)
+    dead = parse("new z.(a!z.0 | c?(x).new y.[x=y]b!b.0 + [z=a]b!b.0)")
+    assert _without_dead_guards(dead, {}) == parse("new z.(a!z.0 | c?(x).new y.0)")
 
 
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
@@ -348,6 +376,31 @@ def test_weak_decomposition_composes_back(p):
     d = decomposition(p, WEAK, u)
     u2 = NameUniverse.for_terms(p, d.composed(), input_mode="fresh-only")
     assert bisim(d.composed(), p, WEAK, u2)[0]
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_sweep_factor_key_shortcut(mode):
+    # A summation's key is read off its own class; every other term's
+    # from its narrowed structural factors.  Both must agree.  Size-4
+    # terms have at most one factor that is not 0, so generated terms
+    # add compositions and restrictions that split.
+    inputs = "early" if mode == STRONG else "fresh-only"
+    terms = list(TermUniverse(["a", "b"], 4).enumerate())
+    gen = TermGen(61, ("a", "b"))
+    terms += [gen.term(3 + i % 5) for i in range(300)]
+    u = NameUniverse.for_terms(*terms, pool_size=10, input_mode=inputs)
+    index = BehaviorIndex(u)
+    sweep = _Sweep(index, mode)
+    narrowed = split = 0
+    for t in terms:
+        cid = index.class_in_mode(t, mode)
+        if cid == sweep.nil:
+            continue
+        want = tuple(sorted(c for c, _f in _factor_classes(t, index, mode, sweep.nil)))
+        assert sweep.factor_key(t, cid) == want, pretty(t)
+        narrowed += len(parallel_factors(t)) == 1 and scope_narrow(t) is not t
+        split += len(want) > 1
+    assert narrowed > 0 and split > 0
 
 
 def test_mini_sweep_strong():

@@ -22,7 +22,8 @@ from piwb import (
     transitions,
 )
 from piwb.lts import build_lts_multi
-from piwb.semantics import _cache, clear_transition_cache, derive_steps, state_for
+from piwb.decompose import TermUniverse
+from piwb.semantics import _instances, clear_transition_cache, derive_steps, state_for
 from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
 
 from conftest import level_canonical, process_pairs, processes
@@ -187,8 +188,9 @@ def test_successor_shares_the_side_that_did_not_move():
 
 
 def _verdicts(pairs):
-    # bisim explores through a fresh index; refine over the union graph
-    # reads the transition cache, so both kinds of successor meet there.
+    # bisim explores through a fresh index and refine runs over the union
+    # graph; both open binders through the instantiation table, so
+    # instances memoized before a clear meet newly interned terms.
     out = []
     for p, q in pairs:
         u = NameUniverse.for_terms(p, q)
@@ -216,13 +218,13 @@ def test_verdicts_unchanged_after_clearing_intern_table():
     assert {w for _, w in reference} == {True, False}
     assert all(w for _, w in reference[len(independent):])
 
-    # Warm half the cache, drop the interned objects, then answer every
-    # query again: cached successors and newly interned ones now are
-    # equal but distinct objects.
+    # Warm half the instantiation table, drop the interned objects, then
+    # answer every query again: memoized instances and newly interned
+    # terms now are equal but distinct objects.
     clear_transition_cache()
     _verdicts(pairs[::2])
     clear_hashcons()
-    assert _cache
+    assert _instances
     assert _verdicts(pairs) == reference
     clear_transition_cache()
 
@@ -253,6 +255,84 @@ def test_successors_match_full_rebuild(mode):
                         seen.add(state)
                         queue.append(state)
     assert checked > 500
+
+
+def _reachable_steps(roots, u, cap):
+    """(state, steps) for up to `cap` states reachable from each root,
+    derived with the instantiation table kept warm throughout."""
+    out = []
+    for p in roots:
+        seen = {state_for(p, u)}
+        queue = list(seen)
+        while queue and len(seen) < cap:
+            state = queue.pop()
+            steps = derive_steps(state, u)
+            out.append((state, steps))
+            for _a, q in steps:
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["early", "fresh-only"])
+def test_instantiation_table_changes_no_step(mode):
+    # Each state's steps, derived with the table warm from every earlier
+    # state and term, equal tuple for tuple and in order the steps derived
+    # with the table emptied just before, and every successor is exactly
+    # the rebuilt canonical form.
+    gen = TermGen(41, ("a", "b", "c"))
+    roots = [gen.term(3 + i % 5) for i in range(60)]
+    roots += list(TermUniverse(["a", "b"], 4).enumerate())
+    roots += [
+        parse("a?(x).b!b.0 | c?(y).b!b.0"),  # unused binders, one continuation
+        parse("a?(x).x!x.0 + b?(y).y!y.0 + [a=a]c?(z).z!z.0"),
+        parse("new z.a!z.z?(x).x!z.0 | a?(y).y!y.0"),  # extrusion and close
+    ]
+    u = NameUniverse.for_terms(*roots, input_mode=mode)
+    clear_transition_cache()
+    warm = _reachable_steps(roots, u, cap=40)
+    assert len(warm) > 5000
+    for state, steps in warm:
+        _instances.clear()
+        assert derive_steps(state, u) == steps
+        for _a, (q, _k) in steps:
+            assert q == level_canonical(q, u.all_names)
+    clear_transition_cache()
+
+
+def test_one_opening_per_continuation():
+    # The three inputs share one continuation; a name opens it once, so
+    # receiving that name on any of them gives the same object.
+    p = parse("a?(x).x!x.0 + b?(y).y!y.0 + [a=a]c?(z).z!z.0")
+    u = NameUniverse.for_terms(p)
+    clear_transition_cache()
+    by_datum: dict = {}
+    for a, (q, _k) in derive_steps(state_for(p, u), u):
+        by_datum.setdefault(a.datum, []).append(q)
+    assert set(by_datum) == {"a", "b", "c", "w0"}
+    for d, qs in by_datum.items():
+        assert len(qs) == 3 and qs[0] is qs[1] is qs[2]
+        assert qs[0] == parse(f"{d}!{d}.0")
+    # An unused binder opens to the continuation's canonical form,
+    # whatever the name, in one table entry.
+    clear_transition_cache()
+    p = parse("a?(x).b?(y).y!y.0")
+    u = NameUniverse.for_terms(p)
+    qs = {q for _a, (q, _k) in derive_steps(state_for(p, u), u)}
+    assert len(qs) == 1
+    (q,) = qs
+    assert q == level_canonical(parse("b?(y).y!y.0"))
+    assert sum(map(len, _instances.values())) == 1
+    # One continuation under two different binders opens per binder.
+    clear_transition_cache()
+    p = parse("a?(x).x!y.0 + b?(y).x!y.0")
+    u = NameUniverse.for_terms(p)
+    got = {a: q for a, (q, _k) in derive_steps((p, 0), u)}
+    assert got[In("a", "b")] == parse("b!y.0")
+    assert got[In("b", "b")] == parse("x!b.0")
+    clear_transition_cache()
+    assert not _instances
 
 
 def test_steps_distinct_in_derivation_order():
