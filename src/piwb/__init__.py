@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     PiwbError,
     TooLarge,
-    UniverseTooSmall,
     UnknownDemo,
 )
 from .syntax import (

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 property violation, otherwise the failing
 error's `exit_code`: 2 usage, syntax or resource error (a replicated term
-where a finite one is required, an exhausted fresh pool, a cyclic graph,
-an oracle instance over its bound), 3 inconclusive (truncated norm,
-unverifiable normalization, an exhausted search budget).
+where a finite one is required, a cyclic graph, an oracle instance over
+its bound), 3 inconclusive (truncated norm, unverifiable normalization,
+an exhausted search budget).
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ class UsageError(PiwbError):
 
 
 def _universe(args, *terms) -> NameUniverse:
-    pool = args.fresh_pool
-    if pool is not None and pool < 1:
-        raise UsageError(f"fresh pool size must be positive, got {pool}")
-    return NameUniverse.for_terms(
-        *terms, pool_size=pool, input_mode=args.inputs
-    )
+    return NameUniverse.for_terms(*terms, input_mode=args.inputs)
 
 
 def _report(args, command, inputs, results, t0) -> dict:
@@ -57,10 +52,7 @@ def _report(args, command, inputs, results, t0) -> dict:
         "inputs": inputs,
         "results": results,
         "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
-        "universe": {
-            "inputs": args.inputs,
-            "fresh_pool": args.fresh_pool,
-        },
+        "universe": {"inputs": args.inputs},
     }
 
 
@@ -359,9 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["early", "fresh-only"],
         default="early",
         help="input instantiation discipline",
-    )
-    ap.add_argument(
-        "--fresh-pool", type=int, default=None, help="fresh-name pool size"
     )
     ap.add_argument(
         "--max-weight", type=int, default=None, help="bounded exploration weight"

@@ -56,7 +56,6 @@ from .syntax import (
     TAU,
     TAU_ACT,
     alpha_canonical,
-    binder_count,
     free_names,
     is_replication_free,
     level_names,
@@ -207,7 +206,6 @@ class TermUniverse:
         names,
         max_size: int,
         allow_restriction: bool = True,
-        allow_match: bool = True,
         allow_tau: bool = True,
         out_pairs=None,
         in_channels=None,
@@ -216,7 +214,6 @@ class TermUniverse:
         self.names = tuple(sorted(set(names)))
         self.max_size = max_size
         self.allow_restriction = allow_restriction
-        self.allow_match = allow_match
         self.allow_tau = allow_tau
         self.out_pairs = None if out_pairs is None else frozenset(out_pairs)
         self.in_channels = None if in_channels is None else frozenset(in_channels)
@@ -306,7 +303,7 @@ class TermUniverse:
         if size == 1:
             yield from self._basics(scope)
             return
-        if not (self.allow_match and self._inputs_possible()):
+        if not self._inputs_possible():
             return
         avail = self.names + tuple(n for _k, n in scope)
         for inner, binder in self._gen_prefixes(size - 1, scope):
@@ -499,18 +496,17 @@ class _Observed(NamedTuple):
 
 
 def _observed(index: BehaviorIndex, root: int) -> _Observed:
-    """Actions reachable from a behaviour class, summarized for pruning."""
-    memo: dict[int, _Observed] = {}
+    """Actions reachable from a behaviour class, summarized for pruning.
 
-    def go(cid: int) -> _Observed:
-        got = memo.get(cid)
-        if got is not None:
-            return got
+    One pass in id order: signatures name only smaller ids, so every
+    successor's summary is ready when a class reads it."""
+    table: list[_Observed] = []
+    for sig in index.signatures[: root + 1]:
         pairs: set = set()
         bouts: set = set()
         ins: set = set()
         tau = False
-        for a, c2 in index.signatures[cid]:
+        for a, c2 in sig:
             if a == TAU_ACT:
                 tau = True
             elif isinstance(a, In):
@@ -519,16 +515,13 @@ def _observed(index: BehaviorIndex, root: int) -> _Observed:
                 pairs.add((a.chan, a.datum))
             else:
                 bouts.add(a.chan)
-            sub = go(c2)
+            sub = table[c2]
             pairs |= sub.out_pairs
             bouts |= sub.bound_out_channels
             ins |= sub.in_channels
             tau = tau or sub.tau
-        got = _Observed(frozenset(pairs), frozenset(bouts), frozenset(ins), tau)
-        memo[cid] = got
-        return got
-
-    return go(root)
+        table.append(_Observed(frozenset(pairs), frozenset(bouts), frozenset(ins), tau))
+    return table[root]
 
 
 def find_split(
@@ -556,16 +549,14 @@ def find_split(
       must be positive and, in strong mode, sum to depth(p) exactly by
       depth additivity.
 
-    A given universe `u` must know `tu.names` and hold a pool of at least
-    `tu.max_size + 4` names.  Raises Aborted with a progress count when
-    enumeration plus pair checking exceeds `budget` steps.
+    A given universe `u` must know `tu.names` and the free names of `p`
+    (the default).  Raises Aborted with a progress count when enumeration
+    plus pair checking exceeds `budget` steps.
     """
     if not is_replication_free(p):
         raise NotFinite("split search requires a replication-free term")
     if u is None:
-        u = NameUniverse.for_terms(
-            p, extra_known=tu.names, pool_size=tu.max_size + 4
-        )
+        u = NameUniverse.for_terms(p, extra_known=tu.names)
     index = BehaviorIndex(u)
     target = index.class_in_mode(p, mode)
     nil = index.nil_class_in_mode(mode)
@@ -590,7 +581,6 @@ def find_split(
         tu.names,
         tu.max_size,
         allow_restriction=allow_res,
-        allow_match=tu.allow_match,
         allow_tau=obs.tau or mode == WEAK,
         out_pairs=obs.out_pairs,
         in_channels=obs.in_channels,
@@ -707,17 +697,13 @@ class Decomposition:
 
 
 def _widened(u: NameUniverse, terms) -> NameUniverse:
-    """`u` (same input discipline, same pool as a prefix) knowing the free
-    names of the finite `terms`, with a pool of twice their most binders
-    plus 2: each pool name a run takes consumes a binder, so no
-    composition of two split candidates (`_split`) exhausts it."""
+    """`u` (same input discipline, same pool) also knowing the free names
+    of the finite `terms` that are not pool names of `u`."""
     if not all(map(is_replication_free, terms)):
         raise NotFinite("decomposition requires a replication-free term")
-    pool = u.fresh_pool
-    known = u.known.union(*map(free_names, terms)) - set(pool)
-    need = 2 * max(map(binder_count, terms)) + 2 - len(pool)
-    more = NameUniverse.for_terms(extra_known=known | set(pool), pool_size=max(0, need))
-    return NameUniverse(known, pool + more.fresh_pool, u.input_mode)
+    names = frozenset().union(*map(free_names, terms))
+    known = u.known | {n for n in names if not u.is_pool_name(n)}
+    return NameUniverse(known, u.input_mode)
 
 
 def _summarize(index: BehaviorIndex, mode: str, table: list) -> list:
@@ -753,14 +739,13 @@ def _split(p: Process, mode: str, index: BehaviorIndex, table: list):
     is weakly equivalent to 0 too, so the argument is the same.
     """
     u = index.universe
-    pool = frozenset(u.fresh_pool)
     candidates: dict[int, tuple[int, Process]] = {}
     root = state_for(p, u)
     seen, stack = {root}, [root]
     while stack:
         state = stack.pop()
         t = state[0]
-        for z in sorted(free_names(t) & pool):
+        for z in sorted(filter(u.is_pool_name, free_names(t))):
             t = Restrict(z, t)
         strong = index.class_at(t, 0)
         cid = strong if mode == STRONG else index.weak_id(strong)
@@ -967,10 +952,7 @@ def upd_sweep(
         input_mode = "fresh-only" if mode == WEAK else "early"
     clear_transition_cache()
     tu = TermUniverse(names, max_size)
-    u = NameUniverse.for_terms(
-        extra_known=tu.names, pool_size=max_size + 2, input_mode=input_mode
-    )
-    index = BehaviorIndex(u)
+    index = BehaviorIndex(NameUniverse(tu.names, input_mode))
     sweep = _Sweep(index, mode)
 
     term_count = 0

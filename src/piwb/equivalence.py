@@ -111,7 +111,7 @@ class BehaviorIndex:
         got = self._class_of.get((term, consumed))
         if got is not None:
             return got
-        avoid = self.universe.all_names
+        avoid = self.universe.known
         return self._explore((hashcons(alpha_canonical(term, avoid=avoid)), consumed))
 
     def _explore(self, root) -> int:

@@ -28,10 +28,6 @@ class ParseError(PiwbError):
         self.expected = tuple(expected)
 
 
-class UniverseTooSmall(PiwbError):
-    """The fresh-name pool of a NameUniverse was exhausted."""
-
-
 class NotFinite(PiwbError):
     """Operation requires a replication-free process."""
 

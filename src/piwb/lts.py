@@ -19,7 +19,6 @@ from .syntax import (
     Process,
     TAU_ACT,
     alpha_canonical,
-    binder_count,
     is_replication_free,
     validate,
 )
@@ -33,7 +32,7 @@ class Lts:
     """Immutable rooted transition graph over alpha-canonical states.
 
     `states` holds the terms of the explored states (a term paired with
-    its pool cursor, how many reserved names its run has introduced),
+    its pool cursor, how many pool names its run has introduced),
     numbered in the order the builder reached them; each state's edges
     follow `derive_steps` order.
     """
@@ -107,7 +106,7 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
     roots = []
     queue = []
     for t in terms:
-        state = (alpha_canonical(t, avoid=u.all_names), k0)
+        state = (alpha_canonical(t, avoid=u.known), k0)
         if state not in index:
             index[state] = len(states)
             states.append(state)
@@ -148,14 +147,14 @@ def build_lts_bounded(
     lightest-first search reaches them, in `derive_steps` order.  Returns
     the graph and a flag that is true iff some edge was cut off at the
     frontier; cut states are listed in the graph's `truncated` set and
-    never count as deadlocked.
+    never count as deadlocked.  `u` defaults to the term's free names;
+    its pool is unbounded, so every replicated copy that opens a binder
+    finds a fresh name at any weight.
     """
     if u is None:
-        u = NameUniverse.for_terms(
-            p, pool_size=max(binder_count(p) + 2, max_weight + 2)
-        )
+        u = NameUniverse.for_terms(p)
     validate(p)
-    root = (alpha_canonical(p, avoid=u.all_names), start_index(p, u))
+    root = (alpha_canonical(p, avoid=u.known), start_index(p, u))
     index = {root: 0}
     states = [root]
     best = {0: 0}

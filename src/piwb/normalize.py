@@ -249,7 +249,7 @@ def _rebuild(term, cid, index, memo):
     if not index.stutters(cid):
         return term
     weak = index.weak_id(cid)
-    summands = _hnf(alpha_canonical(term, avoid=index.universe.all_names))
+    summands = _hnf(alpha_canonical(term, avoid=index.universe.known))
     for guard, cont in summands:
         if isinstance(guard, Tau) and index.weak_class_of(cont) == weak:
             return rep(cont)
@@ -271,7 +271,7 @@ def stutter_free(p: Process, u: NameUniverse | None = None):
         u = NameUniverse.for_terms(p)
     index = BehaviorIndex(u)
     result = stutter_free_representative(
-        alpha_canonical(p, avoid=u.all_names), index, {}
+        alpha_canonical(p, avoid=u.known), index, {}
     )
     cid = index.class_of(result)
     equivalent = index.weak_id(cid) == index.weak_class_of(p)

@@ -1,12 +1,14 @@
 """Early labelled transition relation with finite input branching.
 
 Exploration states are pairs (term, consumed) where `consumed` counts how
-many reserved pool names the run has already introduced (by receiving a
-fresh name or extruding a private one).  Input prefixes are instantiated
-with every name the environment could plausibly send: the universe's
-known names, every pool name introduced so far (whether or not the term
-still mentions it), and the single next unused pool name.  In
-``fresh-only`` mode the instantiation set is just that next name.
+many pool names the run has already introduced (by receiving a fresh
+name or extruding a private one).  The pool is unbounded (w0, w1, ...
+without the known names, see `NameUniverse`), so no finite term runs
+out of fresh names.  Input prefixes are instantiated with every name the
+environment could plausibly send: the universe's known names, every pool
+name introduced so far (whether or not the term still mentions it), and
+the single next unused pool name.  In ``fresh-only`` mode the
+instantiation set is just that next name.
 
 Keying the cursor into the state keeps instantiation aligned across
 compared processes: matching transition labels imply matching
@@ -50,7 +52,8 @@ conditions of the parallel and close rules by construction.
 
 from __future__ import annotations
 
-from .errors import UniverseTooSmall
+import re
+
 from .syntax import (
     Action,
     BoundOut,
@@ -69,7 +72,6 @@ from .syntax import (
     Sum,
     TAU_ACT,
     alpha_canonical,
-    binder_count,
     clear_hashcons,
     free_names,
     hashcons,
@@ -77,72 +79,63 @@ from .syntax import (
     validate,
 )
 
-_POOL_PREFIX = "w"
+_POOL_NAME = re.compile(r"w(?:0|[1-9][0-9]*)")
 
 
 class NameUniverse:
-    """Immutable name supply shared by every term of one analysis.
+    """Name supply shared by every term of one analysis.
 
-    `known` holds the free names of all terms under analysis; `fresh_pool`
-    is an ordered reserve of names disjoint from `known` used for input
-    instantiation and extruded binders.
+    `known` holds the free names of all terms under analysis.  The pool
+    of fresh names, taken by input instantiation and extruded binders, is
+    w0, w1, ... without the known names: unbounded, since a finite run
+    takes one only when it opens a binder of its own.  `row` lists the
+    names of each pool cursor, built once per universe and cursor.
+    Universes are equal when their known names and input modes are.
     """
 
-    __slots__ = ("known", "fresh_pool", "input_mode", "_hash", "_all", "_pool")
+    __slots__ = ("known", "input_mode", "_skipped", "_rows", "_hash")
 
-    def __init__(self, known, fresh_pool, input_mode="early"):
+    def __init__(self, known, input_mode="early"):
         if input_mode not in ("early", "fresh-only"):
             raise ValueError(f"unknown input mode: {input_mode!r}")
-        known = frozenset(known)
-        fresh_pool = tuple(fresh_pool)
-        if known & set(fresh_pool):
-            raise ValueError("fresh pool collides with known names")
-        object.__setattr__(self, "known", known)
-        object.__setattr__(self, "fresh_pool", fresh_pool)
-        object.__setattr__(self, "input_mode", input_mode)
-        object.__setattr__(self, "_pool", frozenset(fresh_pool))
-        object.__setattr__(self, "_all", known | self._pool)
-        object.__setattr__(self, "_hash", hash((known, fresh_pool, input_mode)))
+        self.known = frozenset(known)
+        self.input_mode = input_mode
+        # Numbers of the known names the pool skips, ascending.
+        self._skipped = sorted(int(n[1:]) for n in self.known if _POOL_NAME.fullmatch(n))
+        self._rows: list[tuple] = []
+        self._hash = hash((self.known, input_mode))
 
     @classmethod
-    def for_terms(cls, *terms, pool_size=None, extra_known=(), input_mode="early"):
-        known = set(extra_known)
-        demand = 2
-        for t in terms:
-            known |= free_names(t)
-            demand = max(demand, binder_count(t) + 2)
-        if pool_size is None:
-            pool_size = demand
-        pool = []
-        i = 0
-        while len(pool) < pool_size:
-            name = f"{_POOL_PREFIX}{i}"
-            i += 1
-            if name not in known:
-                pool.append(name)
-        return cls(known, pool, input_mode)
+    def for_terms(cls, *terms, extra_known=(), input_mode="early"):
+        """The universe knowing `extra_known` and the free names of `terms`."""
+        return cls(frozenset(extra_known).union(*map(free_names, terms)), input_mode)
 
-    @property
-    def all_names(self):
-        return self._all
+    def is_pool_name(self, name) -> bool:
+        return name not in self.known and _POOL_NAME.fullmatch(name) is not None
 
-    def next_fresh(self, occupied):
-        """First pool name not in `occupied`; the pool is finite by design."""
-        for name in self.fresh_pool:
-            if name not in occupied:
-                return name
-        raise UniverseTooSmall(
-            f"fresh pool of size {len(self.fresh_pool)} exhausted"
-        )
-
-    def covers(self, p: Process) -> bool:
-        return free_names(p) <= self._all
+    def row(self, consumed: int) -> tuple:
+        """(input data, fresh name) at pool cursor `consumed`: the fresh
+        name is the pool's `consumed`-th, and an input receives it alone
+        (fresh-only) or after the known names, sorted, and every pool name
+        before it (early)."""
+        rows = self._rows
+        while len(rows) <= consumed:
+            i = len(rows)
+            for n in self._skipped:
+                if n <= i:
+                    i += 1
+            fresh = f"w{i}"
+            if self.input_mode == "fresh-only":
+                data = (fresh,)
+            else:
+                data = (rows[-1][0] if rows else tuple(sorted(self.known))) + (fresh,)
+            rows.append((data, fresh))
+        return rows[consumed]
 
     def __eq__(self, other):
         return (
             isinstance(other, NameUniverse)
             and self.known == other.known
-            and self.fresh_pool == other.fresh_pool
             and self.input_mode == other.input_mode
         )
 
@@ -150,10 +143,7 @@ class NameUniverse:
         return self._hash
 
     def __repr__(self):
-        return (
-            f"NameUniverse(known={sorted(self.known)}, "
-            f"pool={len(self.fresh_pool)}, mode={self.input_mode})"
-        )
+        return f"NameUniverse(known={sorted(self.known)}, mode={self.input_mode})"
 
 
 def _resolve_prefix(pi: Prefix):
@@ -356,15 +346,12 @@ def _repl_steps(t: Repl, base: list) -> list:
 
 def start_index(p: Process, u: NameUniverse) -> int:
     """Pool cursor for a term entering analysis: past the highest pool
-    name it already mentions (zero for terms over user names only)."""
+    name it already mentions (zero for terms over known names only)."""
     fn = free_names(p)
-    if fn.isdisjoint(u._pool):
+    if fn <= u.known:
         return 0
-    k = 0
-    for i, w in enumerate(u.fresh_pool):
-        if w in fn:
-            k = i + 1
-    return k
+    top = max((int(n[1:]) for n in fn if u.is_pool_name(n)), default=-1)
+    return top + 1 - sum(1 for n in u._skipped if n < top)
 
 
 _actions: dict = {}
@@ -380,16 +367,8 @@ def derive_steps(state: tuple[Process, int], u: NameUniverse) -> tuple:
     updated pool cursor.  Actions are interned too.
     """
     term, consumed = state
-    if consumed >= len(u.fresh_pool):
-        raise UniverseTooSmall(
-            f"fresh pool of size {len(u.fresh_pool)} exhausted"
-        )
-    fresh = u.fresh_pool[consumed]
-    if u.input_mode == "early":
-        data = tuple(sorted(u.known)) + u.fresh_pool[: consumed + 1]
-    else:
-        data = (fresh,)
-    avoid = u.all_names
+    data, fresh = u.row(consumed)
+    avoid = u.known
     out = []
     for a, q in _derive(term, data, fresh):
         bump = isinstance(a, BoundOut) or (isinstance(a, In) and a.datum == fresh)
@@ -422,14 +401,14 @@ def _steps_cached(state: tuple[Process, int], u: NameUniverse) -> tuple:
 
 
 def state_for(p: Process, u: NameUniverse) -> tuple[Process, int]:
-    return alpha_canonical(p, avoid=u.all_names), start_index(p, u)
+    return alpha_canonical(p, avoid=u.known), start_index(p, u)
 
 
 def transitions(p: Process, u: NameUniverse) -> frozenset[tuple[Action, Process]]:
     """Derivable transitions of `p`, with alpha-canonical successors."""
     validate(p)
-    if not u.covers(p):
-        missing = sorted(free_names(p) - u.all_names)
+    missing = sorted(n for n in free_names(p) - u.known if not u.is_pool_name(n))
+    if missing:
         raise ValueError(f"universe does not cover free names {missing}")
     return frozenset(
         (a, q) for a, (q, _k) in _steps_cached(state_for(p, u), u)

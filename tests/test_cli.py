@@ -182,22 +182,17 @@ def test_verify_upd_without_operands_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_nonpositive_fresh_pool_flag_is_usage_error(capsys):
-    assert run(["--fresh-pool", "0", "depth", "a?(x).0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fresh pool" in err
-    assert run(["--fresh-pool", "1", "depth", "a!b.0"]) == 0
-
-
 def test_replicated_term_is_usage_error(capsys):
     assert run(["depth", "!a!b.0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_exhausted_fresh_pool_is_usage_error(capsys):
-    assert run(["--fresh-pool", "1", "depth", "a?(x).a?(y).0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fresh pool" in err
+def test_fresh_pool_option_is_gone(capsys):
+    # The pool of fresh names is unbounded, so there is no size to set.
+    assert run(["--fresh-pool", "3", "depth", "a!b.0"]) == 2
+    assert capsys.readouterr().err.startswith("usage: piwb")
+    assert run(["depth", "a?(x).a?(y).a?(z).0"]) == 0
+    assert capsys.readouterr().out.strip() == "depth: 3"
 
 
 def _error_types(cls=PiwbError):

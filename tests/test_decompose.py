@@ -32,12 +32,14 @@ from piwb.decompose import (
     TermUniverse,
     _Sweep,
     _factor_classes,
+    _widened,
     _without_dead_guards,
     parallel_factors,
 )
 from piwb.equivalence import naive_bisim_oracle
 from piwb.gen import TermGen
 from piwb.normalize import expand_hnf
+from piwb.semantics import start_index
 
 from conftest import level_canonical, processes, tau_pad
 
@@ -79,7 +81,7 @@ def test_scope_narrow_preserves_strong_bisimilarity(p):
 
 
 def test_term_universe_exhaustive_small():
-    tu = TermUniverse(["a"], 2, allow_restriction=False, allow_match=False)
+    tu = TermUniverse(["a"], 2, allow_restriction=False)
     got = {pretty(t) for t in tu.enumerate()}
     assert got == {"0", "a!a.0", "a?(v0).0", "tau.0"}
 
@@ -183,7 +185,7 @@ def test_dead_guard_pruning_against_oracle():
 def test_derivative_split_agrees_with_bounded_search(mode, inputs):
     # Every single-factor term over {a, b} of size at most 4 splits
     # exactly when the bounded reference finds parts of size at most 3.
-    u = NameUniverse.for_terms(extra_known=["a", "b"], pool_size=7, input_mode=inputs)
+    u = NameUniverse.for_terms(extra_known=["a", "b"], input_mode=inputs)
     parts = TermUniverse(["a", "b"], 3)
     verdicts = set()
     for t in TermUniverse(["a", "b"], 4).enumerate():
@@ -211,6 +213,13 @@ def test_find_split_scope_extrusion_state():
     R = parse("new z.(z!c.c!a.0 | z?(y).y!b.0)")
     got = find_split(R, STRONG, TermUniverse(["a", "b", "c"], 6))
     assert got == NO_SPLIT
+
+
+def test_find_split_of_a_long_chain_needs_no_deep_recursion():
+    # The observed-action summary walks the class ids in order, so a
+    # 2,000-prefix chain is searched, not a RecursionError.
+    chain = parse("a!b." * 2000 + "0")
+    assert find_split(chain, STRONG, TermUniverse(["a", "b"], 2)) == NO_SPLIT
 
 
 def test_find_split_budget_aborts():
@@ -251,6 +260,17 @@ def test_verify_upd_expansion_pair():
     v = verify_upd(
         parse("a!a.0 | b!b.0"), parse("a!a.b!b.0 + b!b.a!a.0"), STRONG
     )
+    assert v.equivalent and v.unique
+
+
+def test_verify_upd_keeps_a_known_pool_shaped_name():
+    # A caller's known `w` name stays known: the pool skips it, and a
+    # term that mentions it enters at cursor 0.
+    u = NameUniverse({"a", "w1"})
+    p, q = parse("a!w1.0 | a?(x).0"), parse("a?(x).0 | a!w1.0")
+    wide = _widened(u, [p, q])
+    assert wide.known == {"a", "w1"} and start_index(p, wide) == 0
+    v = verify_upd(p, q, STRONG, u)
     assert v.equivalent and v.unique
 
 
@@ -388,7 +408,7 @@ def test_sweep_factor_key_shortcut(mode):
     terms = list(TermUniverse(["a", "b"], 4).enumerate())
     gen = TermGen(61, ("a", "b"))
     terms += [gen.term(3 + i % 5) for i in range(300)]
-    u = NameUniverse.for_terms(*terms, pool_size=10, input_mode=inputs)
+    u = NameUniverse.for_terms(*terms, input_mode=inputs)
     index = BehaviorIndex(u)
     sweep = _Sweep(index, mode)
     narrowed = split = 0
@@ -427,7 +447,7 @@ def test_behavior_index_matches_bisim():
     # The substituted non-congruence pair: the parallel form has a
     # communication step, so only the expansion with the tau summand
     # matches it.
-    u = NameUniverse(frozenset(("a", "b")), ("w0", "w1", "w2", "w3"), "early")
+    u = NameUniverse(frozenset(("a", "b")), "early")
     index = BehaviorIndex(u)
     p1 = parse("a!b.0 | a?(y).0")
     plain = parse("a!b.a?(y).0 + a?(y).a!b.0")
@@ -442,12 +462,12 @@ def test_enumerated_terms_are_their_own_canonical_form():
     # Binders are enumerated under their level names, so the sweep's
     # roots need no renaming: alpha_canonical returns each one itself.
     tu = TermUniverse(["a", "b"], 5)
-    u = NameUniverse.for_terms(extra_known=tu.names, pool_size=7)
+    u = NameUniverse.for_terms(extra_known=tu.names)
     count = 0
     for t in tu.enumerate():
-        assert alpha_canonical(t, avoid=u.all_names) is t
+        assert alpha_canonical(t, avoid=u.known) is t
         if count % 50 == 0:
-            assert level_canonical(t, u.all_names) == t
+            assert level_canonical(t, u.known) == t
         count += 1
     assert count == 49051
 

@@ -227,7 +227,7 @@ def test_long_chain_against_tau_copy():
 def test_roots_share_the_pool_cursor():
     # p mentions the pool name w0, so on its own it would start past it
     # and q would not; entered together, both receive the same names.
-    u = NameUniverse(frozenset({"a", "c"}), ("w0", "w1", "w2"), "early")
+    u = NameUniverse(frozenset({"a", "c"}), "early")
     p, q = parse("[w0=w0]a?(x).x!x.0"), parse("a?(x).x!x.0")
     assert naive_bisim_oracle(p, q, STRONG, u)
     for mode in (STRONG, WEAK):
@@ -267,8 +267,7 @@ def test_weak_layer_against_references():
     terms = list(tu.enumerate())
     rng = random.Random(9)
     for input_mode in ("early", "fresh-only"):
-        u = NameUniverse.for_terms(extra_known=tu.names, pool_size=6,
-                                   input_mode=input_mode)
+        u = NameUniverse.for_terms(extra_known=tu.names, input_mode=input_mode)
         index = BehaviorIndex(u)
         flags = []
         for t in terms:

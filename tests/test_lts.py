@@ -218,7 +218,7 @@ def _reference_json(terms, u):
     k0 = max(start_index(t, u) for t in terms)
     index, states, roots = {}, [], []
     for t in terms:
-        state = (alpha_canonical(t, avoid=u.all_names), k0)
+        state = (alpha_canonical(t, avoid=u.known), k0)
         if state not in index:
             index[state] = len(states)
             states.append(state)

@@ -11,7 +11,6 @@ from piwb import (
     Par,
     Prefixed,
     TermGen,
-    UniverseTooSmall,
     alpha_equivalent,
     bisim,
     free_names,
@@ -23,7 +22,13 @@ from piwb import (
 )
 from piwb.lts import build_lts_multi
 from piwb.decompose import TermUniverse
-from piwb.semantics import _instances, clear_transition_cache, derive_steps, state_for
+from piwb.semantics import (
+    _instances,
+    clear_transition_cache,
+    derive_steps,
+    start_index,
+    state_for,
+)
 from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
 
 from conftest import level_canonical, process_pairs, processes
@@ -51,14 +56,14 @@ def test_input_enumeration_known_plus_one_fresh():
     # Derived by hand from the input rule: with known {a, b} the datum
     # ranges over a, b, and exactly one fresh pool name.
     p = parse("a?(x).0")
-    u = NameUniverse(known={"a", "b"}, fresh_pool=("w0", "w1"))
+    u = NameUniverse(known={"a", "b"})
     ts = transitions(p, u)
     assert ts == frozenset({(In("a", "a"), NIL), (In("a", "b"), NIL), (In("a", "w0"), NIL)})
 
 
 def test_fresh_only_mode_single_instantiation():
     p = parse("a?(x).x!b.0")
-    u = NameUniverse(known={"a", "b"}, fresh_pool=("w0",), input_mode="fresh-only")
+    u = NameUniverse(known={"a", "b"}, input_mode="fresh-only")
     ts = transitions(p, u)
     assert len(ts) == 1
     ((action, target),) = ts
@@ -89,15 +94,38 @@ def test_comm_datum_not_in_receiver_universe():
     assert alpha_equivalent(taus[0], parse("0 | c!b.0"))
 
 
-def test_universe_too_small():
-    p = parse("a?(x).0")
-    u = NameUniverse(known={"a"}, fresh_pool=())
-    with pytest.raises(UniverseTooSmall):
-        transitions(p, u)
+def test_pool_skips_known_names():
+    # A free user name w0 is known, so the pool starts at w1, and an
+    # input receives the known names and then the first pool name.
+    u = NameUniverse(known={"a", "w0"})
+    assert u.row(0) == (("a", "w0", "w1"), "w1")
+    ts = transitions(parse("a?(x).0"), u)
+    assert {a.datum for a, _ in ts} == {"a", "w0", "w1"}
+    gaps = NameUniverse(known={"a", "w0", "w2"})
+    assert [gaps.row(k)[1] for k in range(4)] == ["w1", "w3", "w4", "w5"]
+    assert gaps.row(2)[0] == ("a", "w0", "w2", "w1", "w3", "w4")
+    fresh_only = NameUniverse(known={"a", "w0"}, input_mode="fresh-only")
+    assert fresh_only.row(1) == (("w2",), "w2")
+
+
+def test_pool_names_are_w_and_a_plain_number():
+    u = NameUniverse(known={"a", "w0"})
+    names = ("w", "w01", "w0", "w1", "w12", "v1", "a")
+    assert [n for n in names if u.is_pool_name(n)] == ["w1", "w12"]
+
+
+def test_start_index_is_past_the_highest_pool_name():
+    u = NameUniverse(known={"a"})
+    assert start_index(parse("a!w3.0"), u) == 4
+    assert start_index(parse("a!w1.w0!a.0"), u) == 2
+    assert start_index(parse("a!a.0"), u) == 0
+    # Known w names are no pool names and take no position in the pool.
+    assert start_index(parse("a!w3.0"), NameUniverse(known={"a", "w1"})) == 3
+    assert start_index(parse("a!w3.0"), NameUniverse(known={"a", "w3"})) == 0
 
 
 def test_universe_must_cover_free_names():
-    u = NameUniverse(known={"a"}, fresh_pool=("w0",))
+    u = NameUniverse(known={"a"})
     with pytest.raises(ValueError):
         transitions(parse("b!a.0"), u)
 
@@ -152,7 +180,7 @@ def test_fresh_name_stability(p):
     u2 = NameUniverse.for_terms(p, extra_known=[extra])
     base = transitions(p, u)
     enlarged = transitions(p, u2)
-    fresh0 = u.next_fresh(free_names(p))
+    fresh0 = u.row(0)[1]  # the first pool name
     expected = set(base)
     for a, t in base:
         if isinstance(a, In) and a.datum == fresh0:
@@ -249,7 +277,7 @@ def test_successors_match_full_rebuild(mode):
             queue = list(seen)
             while queue and len(seen) < 60:
                 for _a, state in derive_steps(queue.pop(), u):
-                    assert state[0] == level_canonical(state[0], u.all_names)
+                    assert state[0] == level_canonical(state[0], u.known)
                     checked += 1
                     if state not in seen:
                         seen.add(state)
@@ -297,7 +325,7 @@ def test_instantiation_table_changes_no_step(mode):
         _instances.clear()
         assert derive_steps(state, u) == steps
         for _a, (q, _k) in steps:
-            assert q == level_canonical(q, u.all_names)
+            assert q == level_canonical(q, u.known)
     clear_transition_cache()
 
 
