@@ -70,16 +70,31 @@ from .syntax import (
 def _sink(z, t):
     """`new z.t` with the binder dropped or moved onto a parallel factor,
     possibly under inner restrictions; None when neither law applies, so
-    adjacent binders are reordered only when that enables one of them."""
-    if z not in free_names(t):
-        return t
-    if isinstance(t, Par) and z not in free_names(t.left):
-        return Par(t.left, _sink(z, t.right) or Restrict(z, t.right))
-    if isinstance(t, Restrict):
-        inner = _sink(z, t.body)
-        if inner is not None:
-            return Restrict(t.binder, inner)
-    return None
+    adjacent binders are reordered only when that enables one of them.
+
+    The binder descends right factors that the left one does not need
+    and inner restrictions, in a loop; the nodes passed wait on `path`
+    and are rebuilt around the result."""
+    path = []
+    while True:
+        if z not in free_names(t):
+            sunk = t
+            break
+        if isinstance(t, Par) and z not in free_names(t.left):
+            path.append(t)
+            t = t.right
+        elif isinstance(t, Restrict):
+            path.append(t)
+            t = t.body
+        else:
+            sunk = None
+            break
+    for t in reversed(path):
+        if isinstance(t, Par):
+            sunk = Par(t.left, sunk or Restrict(z, t.right))
+        elif sunk is not None:
+            sunk = Restrict(t.binder, sunk)
+    return sunk
 
 
 def scope_narrow(p: Process) -> Process:
@@ -92,39 +107,62 @@ def scope_narrow(p: Process) -> Process:
     input, and narrowing it again changes nothing.  Subtrees no law
     touches are returned themselves, so the factors of a canonical term
     are shared, canonical subterms.
+
+    Post-order on an explicit stack, so deep terms need no deep
+    recursion: a node (marked by a 1-tuple) is rebuilt once its narrowed
+    parts wait on `done`.
     """
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Prefixed):
-        cont = scope_narrow(p.cont)
-        return p if cont is p.cont else Prefixed(p.prefix, cont)
-    if isinstance(p, (Sum, Par)):
-        left, right = scope_narrow(p.left), scope_narrow(p.right)
-        if left is p.left and right is p.right:
-            return p
-        return type(p)(left, right)
-    if isinstance(p, Repl):
-        body = scope_narrow(p.body)
-        return p if body is p.body else Repl(body)
-    if isinstance(p, Restrict):
-        body = scope_narrow(p.body)
-        sunk = _sink(p.binder, body)
-        if sunk is not None:
-            return sunk
-        return p if body is p.body else Restrict(p.binder, body)
-    raise TypeError(f"not a process: {p!r}")
+    done: list[Process] = []
+    todo: list = [p]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            cls = type(t)
+            if cls is Sum or cls is Par:
+                right = done.pop()
+                left = done.pop()
+                if left is not t.left or right is not t.right:
+                    t = cls(left, right)
+            elif cls is Prefixed:
+                cont = done.pop()
+                if cont is not t.cont:
+                    t = Prefixed(t.prefix, cont)
+            elif cls is Repl:
+                body = done.pop()
+                if body is not t.body:
+                    t = Repl(body)
+            else:
+                body = done.pop()
+                sunk = _sink(t.binder, body)
+                if sunk is not None:
+                    t = sunk
+                elif body is not t.body:
+                    t = Restrict(t.binder, body)
+            done.append(t)
+            continue
+        cls = type(t)
+        if cls is Nil:
+            done.append(t)
+        elif cls is Sum or cls is Par:
+            todo += ((t,), t.right, t.left)
+        elif cls is Prefixed:
+            todo += ((t,), t.cont)
+        elif cls is Restrict or cls is Repl:
+            todo += ((t,), t.body)
+        else:
+            raise TypeError(f"not a process: {t!r}")
+    return done[0]
 
 
 def parallel_factors(p: Process) -> list[Process]:
     """Top-level parallel components after narrowing, in syntactic order."""
-    narrowed = scope_narrow(p)
     out = []
-    stack = [narrowed]
+    stack = [scope_narrow(p)]
     while stack:
-        t = stack.pop(0)
+        t = stack.pop()
         if isinstance(t, Par):
-            stack.insert(0, t.right)
-            stack.insert(0, t.left)
+            stack += (t.right, t.left)
         else:
             out.append(t)
     return out
@@ -148,36 +186,75 @@ def _without_dead_guards(p: Process, scope: dict, depth: int = 0) -> Process:
     Such a prefix never fires, so the result is strongly bisimilar to
     `p`.  A restricted name differs from every name bound outside its
     scope, so under `new z` a guard [a=z] with `a` free is dead.
-    `depth` counts the binders enclosing `p`."""
-    if isinstance(p, Prefixed):
-        pi = p.prefix
-        while isinstance(pi, Match):
-            if _never_equal(pi.lhs, pi.rhs, scope):
-                return NIL
-            pi = pi.inner
-        if isinstance(pi, Input):
-            scope = {**scope, pi.binder: (depth, True)}
+    `scope` (see `_never_equal`) and `depth` describe the binders
+    enclosing `p`.
+
+    Post-order on an explicit stack, so deep terms need no deep
+    recursion.  One copy of `scope` serves the whole walk: entering a
+    binder sets its entry, and the binder node's rebuild, which waits on
+    `todo` behind the binder's whole scope, restores it.
+    """
+    scope = dict(scope)
+    done: list[Process] = []
+    todo: list = [p]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t, binder, saved = t
+            if binder is not None:
+                depth -= 1
+                if saved is None:
+                    del scope[binder]
+                else:
+                    scope[binder] = saved
+            cls = type(t)
+            if cls is Sum or cls is Par:
+                right = done.pop()
+                left = done.pop()
+                if isinstance(right, Nil):
+                    t = left
+                elif isinstance(left, Nil):
+                    t = right
+                elif left is not t.left or right is not t.right:
+                    t = cls(left, right)
+            elif cls is Prefixed:
+                cont = done.pop()
+                if cont is not t.cont:
+                    t = Prefixed(t.prefix, cont)
+            else:
+                body = done.pop()
+                if body is not t.body:
+                    t = Restrict(t.binder, body) if cls is Restrict else Repl(body)
+            done.append(t)
+            continue
+        cls = type(t)
+        binder = None
+        if cls is Prefixed:
+            pi = t.prefix
+            while isinstance(pi, Match) and not _never_equal(pi.lhs, pi.rhs, scope):
+                pi = pi.inner
+            if isinstance(pi, Match):
+                done.append(NIL)
+                continue
+            if isinstance(pi, Input):
+                binder, by_input = pi.binder, True
+            body = t.cont
+        elif cls is Sum or cls is Par:
+            todo += ((t, None, None), t.right, t.left)
+            continue
+        elif cls is Restrict:
+            binder, by_input, body = t.binder, False, t.body
+        elif cls is Repl:
+            body = t.body
+        else:
+            done.append(t)
+            continue
+        todo.append((t, binder, scope.get(binder)))
+        if binder is not None:
+            scope[binder] = (depth, by_input)
             depth += 1
-        cont = _without_dead_guards(p.cont, scope, depth)
-        return p if cont is p.cont else Prefixed(p.prefix, cont)
-    if isinstance(p, (Sum, Par)):
-        left = _without_dead_guards(p.left, scope, depth)
-        right = _without_dead_guards(p.right, scope, depth)
-        if isinstance(right, Nil):
-            return left
-        if isinstance(left, Nil):
-            return right
-        if left is p.left and right is p.right:
-            return p
-        return type(p)(left, right)
-    if isinstance(p, Restrict):
-        inner = {**scope, p.binder: (depth, False)}
-        body = _without_dead_guards(p.body, inner, depth + 1)
-        return p if body is p.body else Restrict(p.binder, body)
-    if isinstance(p, Repl):
-        body = _without_dead_guards(p.body, scope, depth)
-        return p if body is p.body else Repl(body)
-    return p
+        todo.append(body)
+    return done[0]
 
 
 # --------------------------------------------------------------------------

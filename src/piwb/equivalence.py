@@ -92,6 +92,8 @@ class BehaviorIndex:
     def __init__(self, universe: NameUniverse):
         self.universe = universe
         self._class_of: dict[Process, int] = {}
+        # Steps of the components of compositions, for `derive_steps`.
+        self._component_steps: dict = {}
         self._by_signature: dict[frozenset, int] = {}
         self.signatures: list[frozenset] = []
         self.depths: list[int] = []
@@ -122,15 +124,17 @@ class BehaviorIndex:
         # Post-order on an explicit stack (the graph is acyclic), so deep
         # terms need no deep recursion.  Each state is derived once (this
         # memo), so the global transition cache would only duplicate
-        # memory.  Successors come back interned and share subterms.
-        u = self.universe
-        steps = derive_steps(root, u)
+        # memory, and each component of a composition once per cursor
+        # (the index's component memo).  Successors come back interned
+        # and share subterms.
+        u, memo = self.universe, self._component_steps
+        steps = derive_steps(root, u, memo)
         stack = [(root, steps, iter(steps))]
         while stack:
             state, steps, todo = stack[-1]
             for _a, q in todo:
                 if q not in class_of:
-                    succ = derive_steps(q, u)
+                    succ = derive_steps(q, u, memo)
                     stack.append((q, succ, iter(succ)))
                     break
             else:

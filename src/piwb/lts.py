@@ -91,11 +91,13 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
     States are numbered as the search reaches them, taking each state's
     steps in `derive_steps` order, so numbering and edge order are the
     same under every hash seed.  The search's own index derives each
-    state once, so no transition cache is read.  All roots share one
-    starting pool cursor so their input instantiation aligns.  Accepts
-    operationally meaningful terms outside the two-level grammar (sums
-    over restriction-wrapped bound outputs, as produced by head normal
-    forms); the public build_lts validates its input first.
+    state once, so no transition cache is read, and the graph's component
+    memo derives each component of a composition once per pool cursor
+    (see `derive_steps`).  All roots share one starting pool cursor so
+    their input instantiation aligns.  Accepts operationally meaningful
+    terms outside the two-level grammar (sums over restriction-wrapped
+    bound outputs, as produced by head normal forms); the public
+    build_lts validates its input first.
     """
     for t in terms:
         if not is_replication_free(t):
@@ -113,12 +115,13 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
             queue.append(state)
         roots.append(index[state])
     edges_from: list[list] = []
+    memo: dict = {}
     pos = 0
     while pos < len(queue):
         s = queue[pos]
         pos += 1
         out = []
-        for a, q in derive_steps(s, u):
+        for a, q in derive_steps(s, u, memo):
             j = index.get(q)
             if j is None:
                 j = len(states)

@@ -129,34 +129,50 @@ class _Parser:
         )
 
     # par ::= sum ("|" sum)*
-    def parse_par(self) -> Process:
-        term = self.parse_sum()
-        while self.peek()[0] == "|":
-            self.advance()
-            term = Par(term, self.parse_sum())
-        return term
-
     # sum ::= seq ("+" seq)*
-    def parse_sum(self) -> Process:
-        term = self.parse_seq()
-        while self.peek()[0] == "+":
-            self.advance()
-            term = Sum(term, self.parse_seq())
-        return term
+    def parse_par(self) -> Process:
+        # One loop for all three levels: `summ` and `par` hold the operands
+        # already folded at the current level of parentheses.  "(" saves
+        # them with the pending heads of its seq on `outer`, and ")"
+        # restores them, so deep parenthesization needs no deep recursion.
+        outer: list = []
+        heads: list = []
+        par = summ = None
+        while True:
+            term = self.parse_seq(heads)
+            if term is None:
+                outer.append((heads, par, summ))
+                heads, par, summ = [], None, None
+                continue
+            while True:
+                term = _apply_heads(heads, term)
+                summ = term if summ is None else Sum(summ, term)
+                kind = self.peek()[0]
+                if kind == "+":
+                    self.advance()
+                    break
+                par = summ if par is None else Par(par, summ)
+                summ = None
+                if kind == "|":
+                    self.advance()
+                    break
+                if not outer:
+                    return par
+                self.expect(")")
+                term = par
+                heads, par, summ = outer.pop()
+            heads = []
 
     # seq ::= "0" | prefix "." seq | "new" name "." seq | "!" seq | "(" proc ")"
-    def parse_seq(self) -> Process:
-        # Prefixes, restrictions and replications extend to the right: they
-        # are collected in a loop (a prefix, a restricted name, or None for
-        # "!") and applied innermost first, so long chains need no deep
-        # recursion.
-        heads = []
+    def parse_seq(self, heads: list):
+        """Collect the prefixes, restricted names and "!"s (None) that
+        start a seq into `heads`; return its 0, or None after consuming
+        the "(" that opens its parenthesized process."""
         while True:
             kind = self.peek()[0]
             if kind == "0":
                 self.advance()
-                term = NIL
-                break
+                return NIL
             if kind == "new":
                 self.advance()
                 name = self.expect("name")[1]
@@ -167,23 +183,13 @@ class _Parser:
                 heads.append(None)
             elif kind == "(":
                 self.advance()
-                term = self.parse_par()
-                self.expect(")")
-                break
+                return None
             elif kind in ("name", "tau", "["):
                 prefix = self.parse_prefix()
                 self.expect(".")
                 heads.append(prefix)
             else:
                 self.fail(("0", "new", "!", "(", "name", "tau", "["))
-        for head in reversed(heads):
-            if head is None:
-                term = Repl(term)
-            elif type(head) is str:
-                term = Restrict(head, term)
-            else:
-                term = Prefixed(head, term)
-        return term
 
     # prefix ::= ("[" name "=" name "]")* basic
     def parse_prefix(self):
@@ -221,6 +227,18 @@ class _Parser:
                 return Input(chan, binder)
             self.fail(("!", "?"))
         self.fail(("name", "tau"))
+
+
+def _apply_heads(heads: list, term: Process) -> Process:
+    """`term` under the heads of its seq, applied innermost first."""
+    for head in reversed(heads):
+        if head is None:
+            term = Repl(term)
+        elif type(head) is str:
+            term = Restrict(head, term)
+        else:
+            term = Prefixed(head, term)
+    return term
 
 
 def parse(text: str) -> Process:

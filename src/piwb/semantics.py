@@ -28,6 +28,19 @@ interned continuations recur across states and terms: the strong size-5
 sweep opens 11,534 continuations 90,515 times.  An unused binder opens
 to the continuation's canonical form whatever the name.
 
+A state whose term is a parallel composition takes its components'
+steps from a memo keyed by (component, pool cursor) and combines them
+with the one Par rule, `_par_steps`: each side's moves lifted, then the
+communications and closes between them.  A component's steps depend only
+on the component, the cursor and the universe, so the memo belongs to one
+exploration under one universe: `build_lts_multi` makes one per graph and
+each `BehaviorIndex` holds one.  The product states of `p | q` then derive
+the states of `p` and `q` once each instead of once per product state.
+States whose root is a prefix, sum or restriction, and every state
+explored without a memo, are derived whole by `_derive`.  Either way only
+the state's successors are canonicalized and interned, and the steps are
+the same tuples in the same order.
+
 Actions are interned in a table of this module.  The transition cache
 `_cache` behind `_steps_cached` serves only the bounded exploration of
 replicated terms, strong `bisimilar_to_nil` and `transitions`; graph
@@ -357,7 +370,55 @@ def start_index(p: Process, u: NameUniverse) -> int:
 _actions: dict = {}
 
 
-def derive_steps(state: tuple[Process, int], u: NameUniverse) -> tuple:
+def _canonical_steps(steps: list, avoid) -> list:
+    """`steps` with every successor alpha-canonical and interned, each
+    pair kept at its first occurrence."""
+    return list(dict.fromkeys(
+        (a, hashcons(alpha_canonical(q, avoid=avoid))) for a, q in steps
+    ))
+
+
+def _composed_steps(t: Par, consumed: int, u: NameUniverse, memo: dict) -> list:
+    """Raw steps of the composition `t` at pool cursor `consumed`, combined
+    by `_par_steps` from its components' steps.
+
+    `memo` maps (component, cursor) to the component's steps, successors
+    canonical and interned; it serves one universe, since a component's
+    steps depend only on the component, the cursor and the universe.  The
+    Par spine is walked on an explicit stack: a composed component is
+    entered in `memo` once both of its parts are.  Canonical or not, a
+    component successor is alpha-equivalent to the raw one, so every
+    successor built from it canonicalizes to the same term, and dropping
+    repeated component steps drops only steps that repeat in `t`.
+    """
+    data, fresh = u.row(consumed)
+    avoid = u.known
+    todo = [t]
+    while True:
+        c = todo[-1]
+        parts = []
+        for x in (c.left, c.right):
+            got = memo.get((x, consumed))
+            if got is None and type(x) is not Par:
+                got = memo[x, consumed] = _canonical_steps(_derive(x, data, fresh), avoid)
+            parts.append(got)
+        lefts, rights = parts
+        if lefts is None or rights is None:
+            if rights is None:
+                todo.append(c.right)
+            if lefts is None:
+                todo.append(c.left)
+            continue
+        todo.pop()
+        steps = _par_steps(c, lefts, rights)
+        if not todo:
+            return steps
+        memo[c, consumed] = _canonical_steps(steps, avoid)
+
+
+def derive_steps(
+    state: tuple[Process, int], u: NameUniverse, memo: dict | None = None
+) -> tuple:
     """Uncached step derivation on an exploration state.
 
     Returns the distinct (action, successor-state) pairs in derivation
@@ -365,12 +426,21 @@ def derive_steps(state: tuple[Process, int], u: NameUniverse) -> tuple:
     alpha-canonical, interned with `hashcons` (so they share every
     unchanged subterm with `state` and with each other), and carry the
     updated pool cursor.  Actions are interned too.
+
+    `memo`, owned by one exploration under `u`, keeps the steps of the
+    components of compositions (see `_composed_steps`), so a composition
+    derives each component once per cursor; other states, and every
+    state when `memo` is None, are derived whole.
     """
     term, consumed = state
     data, fresh = u.row(consumed)
     avoid = u.known
+    if memo is not None and type(term) is Par:
+        steps = _composed_steps(term, consumed, u, memo)
+    else:
+        steps = _derive(term, data, fresh)
     out = []
-    for a, q in _derive(term, data, fresh):
+    for a, q in steps:
         bump = isinstance(a, BoundOut) or (isinstance(a, In) and a.datum == fresh)
         a = _actions.setdefault(a, a)
         q = hashcons(alpha_canonical(q, avoid=avoid))

@@ -19,10 +19,13 @@ Terms share structure.  The walk returns the input node itself wherever
 nothing under it changes, and hashcons interns terms so that equal
 subtrees become one object.  Each node caches its free names and a level
 tag, so a term built from canonical parts is recognized as canonical in
-time proportional to its new nodes.  Equality is structural throughout;
-`self is other` is only its fast path, so no result depends on whether
-two equal terms were interned.  The name analysis, renaming and
-interning use explicit stacks, so deep terms need no deep recursion.
+time proportional to its new nodes.  The cached free-name sets are shared
+too: equal sets are one `frozenset` object, held in a table that
+`clear_hashcons` empties with the interning table.  Equality is
+structural throughout; `self is other` is only its fast path, so no
+result depends on whether two equal terms were interned.  The name
+analysis, renaming and interning use explicit stacks, so deep terms need
+no deep recursion.
 """
 
 from __future__ import annotations
@@ -407,13 +410,22 @@ def free_names(p: Process) -> frozenset[Name]:
     return fn
 
 
+_fn_table: dict = {}
+
+
 def _annotate(p: Process) -> None:
     """Cache the free names and the level tag of `p` and of every node
     under it that lacks them; the two are set together.
 
+    Free-name sets are shared: each new set is stored through
+    `_fn_table`, so equal sets are one object (a sweep's tens of thousands
+    of nodes have a few dozen distinct sets), and a node whose set equals
+    a child's takes the child's.  `clear_hashcons` empties the table.
+
     Post-order on an explicit stack: a node is computed once its children
     are, so deep terms need no deep recursion.
     """
+    shared = _fn_table
     stack = [p]
     while stack:
         t = stack[-1]
@@ -426,9 +438,11 @@ def _annotate(p: Process) -> None:
                 continue
             pi, tag = t.prefix, cont._lv
             if type(pi) is Output:
-                fn = fn | {pi.chan, pi.datum}
+                if pi.chan not in fn or pi.datum not in fn:
+                    fn = fn | {pi.chan, pi.datum}
             elif type(pi) is Input:
-                fn = (fn - {pi.binder}) | {pi.chan}
+                if pi.binder in fn or pi.chan not in fn:
+                    fn = (fn - {pi.binder}) | {pi.chan}
                 tag = _bind_level(pi.binder, tag)
             elif type(pi) is Match:
                 pre_free, binder = _prefix_free_names(pi)
@@ -444,7 +458,9 @@ def _annotate(p: Process) -> None:
                 if right._fn is None:
                     stack.append(right)
                 continue
-            fn = left._fn | right._fn
+            fn = left._fn
+            if right._fn is not fn:
+                fn = fn | right._fn
             tag = left._lv
             if right._lv != tag:
                 tag = _join_levels(tag, right._lv)
@@ -456,11 +472,12 @@ def _annotate(p: Process) -> None:
                 continue
             tag = body._lv
             if cls is Restrict:
-                fn = fn - {t.binder}
+                if t.binder in fn:
+                    fn = fn - {t.binder}
                 tag = _bind_level(t.binder, tag)
         else:
             raise TypeError(f"not a process: {t!r}")
-        object.__setattr__(t, "_fn", fn)
+        object.__setattr__(t, "_fn", shared.setdefault(fn, fn))
         object.__setattr__(t, "_lv", tag)
         stack.pop()
 
@@ -859,7 +876,9 @@ def hashcons(p: Process) -> Process:
 
 
 def clear_hashcons():
+    """Empty the interning table and the table of shared free-name sets."""
     _hashcons_table.clear()
+    _fn_table.clear()
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:

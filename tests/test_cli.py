@@ -261,11 +261,39 @@ def test_json_results_independent_of_hash_seed(args, nontrivial):
         (" + ".join(["a!b.0"] * 10_000), "strong"),
         ("new z." * 10_000 + "a!b.0", "strong"),
         ("tau." * 10_000 + "a!b.0", "weak"),
+        ("(" * 10_000 + "a!b.0" + ")" * 10_000, "strong"),
     ],
-    ids=["par", "sum", "new", "prefix"],
+    ids=["par", "sum", "new", "prefix", "parens"],
 )
 def test_terms_nested_10000_deep(term, mode, capsys):
     # Parsing, step derivation and the class engine take no stack frame
-    # per level of `|`, `+`, `new` or prefix nesting.
+    # per level of `|`, `+`, `new`, prefix or parenthesis nesting.
     assert run(["bisim", "--mode", mode, term, "a!b.0"]) == 0
     assert "bisimilar: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "term, factors",
+    [
+        ("new z." * 10_000 + "a!b.0", ["a!b.0"]),
+        # The binder sinks through 10,000 right factors onto the last.
+        (
+            "new z.(a!b.0 | " + "(0 | " * 10_000 + "(z!a.0 | z?(x).0)" + ")" * 10_001,
+            ["a!b.0", "new v0.(v0!a.0 | v0?(v1).0)"],
+        ),
+        # 10,000 dead guards go from one sum.
+        ("new z.(" + "[a=z]b!b.0 + " * 10_000 + "a!b.0)", ["a!b.0"]),
+    ],
+    ids=["new", "sink", "dead-guards"],
+)
+def test_decompose_nested_10000_deep(term, factors, capsys):
+    # Scope narrowing, factor flattening and dead-guard pruning take no
+    # stack frame per level.
+    assert run(["--json", "decompose", term]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["factors"] == factors
+
+
+def test_verify_upd_pair_nested_10000_deep(capsys):
+    assert run(["verify-upd", "new z." * 10_000 + "a!b.0", "a!b.0"]) == 0
+    out = capsys.readouterr().out
+    assert "equivalent: True" in out and "unique: True" in out

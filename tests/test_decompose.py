@@ -180,6 +180,16 @@ def test_dead_guard_pruning_against_oracle():
     assert _without_dead_guards(dead, {}) == parse("new z.(a!z.0 | c?(x).new y.0)")
 
 
+def test_dead_guards_see_only_the_binders_in_scope():
+    # A binder's scope ends with its subterm: past it, the name is free
+    # again.  Two free names never become equal, while an input bound
+    # further in may receive a free name.
+    p = parse("a?(x).0 + [x=b]c!c.0")
+    assert _without_dead_guards(p, {}) == parse("a?(x).0")
+    live = parse("new z.0 | a?(y).[y=z]b!b.0")
+    assert _without_dead_guards(live, {}) is live
+
+
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
 @pytest.mark.parametrize("inputs", ["early", "fresh-only"])
 def test_derivative_split_agrees_with_bounded_search(mode, inputs):

@@ -22,6 +22,7 @@ from piwb import (
 )
 from piwb.lts import build_lts_multi
 from piwb.decompose import TermUniverse
+from piwb.equivalence import BehaviorIndex
 from piwb.semantics import (
     _instances,
     clear_transition_cache,
@@ -377,3 +378,100 @@ def test_steps_distinct_in_derivation_order():
     acts = [a for a, _q in derive_steps(state_for(p, u), u)]
     assert acts == [FreeOut("a", "b"), In("a", "a"), In("a", "b"), In("a", "w0"), TAU_ACT]
     assert isinstance(transitions(p, u), frozenset)
+
+
+def _memo_against_whole(roots, u, cap):
+    """Walk up to `cap` states from each root with one component memo
+    for all of them; each state's steps must equal, tuple for tuple and
+    in order, its steps derived whole.  Returns the number of composed
+    states and the memo."""
+    memo: dict = {}
+    composed = 0
+    for p in roots:
+        seen = {state_for(p, u)}
+        queue = list(seen)
+        while queue and len(seen) < cap:
+            state = queue.pop(0)
+            steps = derive_steps(state, u, memo)
+            assert steps == derive_steps(state, u), state
+            composed += type(state[0]) is Par
+            for _a, q in steps:
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+    return composed, memo
+
+
+@pytest.mark.parametrize("mode", ["early", "fresh-only"])
+def test_component_memo_changes_no_step(mode):
+    gen = TermGen(61, ("a", "b", "c"))
+    roots = [Par(*gen.pair(2 + i % 5)) for i in range(60)]
+    small = list(TermUniverse(["a", "b"], 4).enumerate())
+    roots += [Par(small[i], small[(7 * i) % len(small)]) for i in range(0, len(small), 5)]
+    roots += [
+        parse("(a!b.0 | b?(x).x!a.0) | (a?(y).y!y.0 | new z.b!z.0)"),  # nested |
+        parse("a!b.0 | (b?(x).0 | (a?(y).b!y.0 | b!a.0))"),
+        parse("new z.(z!a.0 | z?(x).x!b.0) | a?(y).y!y.0"),  # | under new
+        parse("new z.(a!z.0 | b?(x).x!z.0)"),
+        parse("new z.a!z.z?(x).x!z.0 | a?(y).y!y.0"),  # extrusion and close
+        parse("a?(y).y!y.0 | new z.a!z.z?(x).0"),  # the right side extrudes
+    ]
+    u = NameUniverse.for_terms(*roots, input_mode=mode)
+    composed, memo = _memo_against_whole(roots, u, cap=60)
+    assert composed > 5000
+    # Components recur at several pool cursors.
+    assert len({c for c, _k in memo}) < len(memo)
+
+    # A free v0 is avoided by every canonical form, so no successor takes
+    # the level-tag shortcut.
+    odd = [parse("v0!a.0 | a?(x).x!v0.0"), parse("a?(x).b?(y).y!x.0 | new z.(v0!z.0 | a!v0.0)")]
+    u = NameUniverse.for_terms(*odd, input_mode=mode)
+    composed, _memo = _memo_against_whole(odd, u, cap=200)
+    assert composed > 10
+
+
+def test_right_component_communicates_with_the_left():
+    memo: dict = {}
+    for text, want in [
+        ("a?(x).x!x.0 | a!b.0", "b!b.0 | 0"),
+        ("a?(x).x!x.0 | new z.a!z.0", "new z.(z!z.0 | 0)"),  # close
+    ]:
+        p = parse(text)
+        u = NameUniverse.for_terms(p)
+        for steps in (derive_steps(state_for(p, u), u, memo), derive_steps(state_for(p, u), u)):
+            taus = [q for a, (q, _k) in steps if a == TAU_ACT]
+            assert taus == [level_canonical(parse(want), u.known)]
+
+
+def _whole_graph(p, u):
+    """States and edges of `p`'s graph in `build_lts_multi`'s order, each
+    state derived whole."""
+    root = state_for(p, u)
+    index, states, edges = {root: 0}, [root], []
+    for s in states:
+        out = []
+        for a, q in derive_steps(s, u):
+            if q not in index:
+                index[q] = len(states)
+                states.append(q)
+            out.append((a, index[q]))
+        edges.append(tuple(out))
+    return states, edges
+
+
+def test_component_memo_serves_one_universe():
+    # One term under three universes in turn: a memo kept from an earlier
+    # universe would hand out its input choices.
+    p = parse("a?(x).x!b.0 | b!a.0")
+    for u in (
+        NameUniverse.for_terms(p),
+        NameUniverse.for_terms(p, input_mode="fresh-only"),
+        NameUniverse.for_terms(p, extra_known={"c"}),
+    ):
+        states, edges = _whole_graph(p, u)
+        l = build_lts_multi([p], u)
+        assert list(l.states) == [t for t, _k in states]
+        assert list(l.edges_from) == edges
+        index = BehaviorIndex(u)
+        index.class_of(p)
+        assert set(index._class_of) == set(states)

@@ -439,3 +439,19 @@ def test_hashcons_interns_new_terms_without_copying():
     q = parse(text)
     assert q is not p and hashcons(q) is p
     clear_hashcons()
+
+
+def test_equal_free_name_sets_are_one_object():
+    from piwb.syntax import _fn_table
+
+    clear_hashcons()
+    p, q = parse("a!b.0"), parse("b?(x).x!a.0 + tau.b!a.0")
+    assert free_names(p) is free_names(q)
+    # A node whose set equals a part's takes the part's.
+    assert free_names(Par(p, q)) is free_names(p)
+    assert free_names(parse("new z.(a!b.0 | z!z.0)")) is free_names(p)
+    assert _fn_table
+    clear_hashcons()
+    assert not _fn_table
+    r = parse("b!a.0")
+    assert free_names(r) == free_names(p) and free_names(r) is not free_names(p)
