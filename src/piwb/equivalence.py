@@ -26,6 +26,7 @@ from .errors import NotFinite, TooLarge
 from .lts import Lts, _topological_order, action_weight, build_lts_multi
 from .parser import _render
 from .semantics import (
+    ExplorationMemo,
     NameUniverse,
     _steps_cached,
     derive_steps,
@@ -92,8 +93,8 @@ class BehaviorIndex:
     def __init__(self, universe: NameUniverse):
         self.universe = universe
         self._class_of: dict[Process, int] = {}
-        # Steps of the components of compositions, for `derive_steps`.
-        self._component_steps: dict = {}
+        # Components, pairs and inputs of compositions, for `derive_steps`.
+        self._memo = ExplorationMemo(universe)
         self._by_signature: dict[frozenset, int] = {}
         self.signatures: list[frozenset] = []
         self.depths: list[int] = []
@@ -124,10 +125,10 @@ class BehaviorIndex:
         # Post-order on an explicit stack (the graph is acyclic), so deep
         # terms need no deep recursion.  Each state is derived once (this
         # memo), so the global transition cache would only duplicate
-        # memory, and each component of a composition once per cursor
-        # (the index's component memo).  Successors come back interned
-        # and share subterms.
-        u, memo = self.universe, self._component_steps
+        # memory, and compositions are derived from their components
+        # through the index's `ExplorationMemo`.  Successors come back
+        # interned and share subterms.
+        u, memo = self.universe, self._memo
         steps = derive_steps(root, u, memo)
         stack = [(root, steps, iter(steps))]
         while stack:

@@ -13,7 +13,13 @@ import math
 
 from .errors import CyclicLts, Inconclusive, NotFinite
 from .parser import _render, action_text
-from .semantics import NameUniverse, _steps_cached, derive_steps, start_index
+from .semantics import (
+    ExplorationMemo,
+    NameUniverse,
+    _steps_cached,
+    derive_steps,
+    start_index,
+)
 from .syntax import (
     Action,
     Process,
@@ -91,13 +97,16 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
     States are numbered as the search reaches them, taking each state's
     steps in `derive_steps` order, so numbering and edge order are the
     same under every hash seed.  The search's own index derives each
-    state once, so no transition cache is read, and the graph's component
-    memo derives each component of a composition once per pool cursor
-    (see `derive_steps`).  All roots share one starting pool cursor so
-    their input instantiation aligns.  Accepts operationally meaningful
-    terms outside the two-level grammar (sums over restriction-wrapped
-    bound outputs, as produced by head normal forms); the public
-    build_lts validates its input first.
+    state once, so no transition cache is read.  The graph's
+    `ExplorationMemo` serves the product states of compositions: each
+    component is derived once per pool cursor, each receiver's input
+    continuations once per channel and datum, and each successor pair
+    `p' | q` is canonicalized and interned once, then shared by every
+    edge that reaches it (see `derive_steps`).  All roots share one
+    starting pool cursor so their input instantiation aligns.  Accepts
+    operationally meaningful terms outside the two-level grammar (sums
+    over restriction-wrapped bound outputs, as produced by head normal
+    forms); the public build_lts validates its input first.
     """
     for t in terms:
         if not is_replication_free(t):
@@ -115,7 +124,7 @@ def build_lts_multi(terms, u: NameUniverse) -> Lts:
             queue.append(state)
         roots.append(index[state])
     edges_from: list[list] = []
-    memo: dict = {}
+    memo = ExplorationMemo(u)
     pos = 0
     while pos < len(queue):
         s = queue[pos]

@@ -28,18 +28,31 @@ interned continuations recur across states and terms: the strong size-5
 sweep opens 11,534 continuations 90,515 times.  An unused binder opens
 to the continuation's canonical form whatever the name.
 
-A state whose term is a parallel composition takes its components'
-steps from a memo keyed by (component, pool cursor) and combines them
-with the one Par rule, `_par_steps`: each side's moves lifted, then the
-communications and closes between them.  A component's steps depend only
-on the component, the cursor and the universe, so the memo belongs to one
-exploration under one universe: `build_lts_multi` makes one per graph and
-each `BehaviorIndex` holds one.  The product states of `p | q` then derive
-the states of `p` and `q` once each instead of once per product state.
-States whose root is a prefix, sum or restriction, and every state
-explored without a memo, are derived whole by `_derive`.  Either way only
-the state's successors are canonicalized and interned, and the steps are
-the same tuples in the same order.
+A state whose term is a parallel composition is derived through an
+`ExplorationMemo`, which belongs to one exploration under one universe:
+`build_lts_multi` makes one per graph and each `BehaviorIndex` holds one.
+It has three tables:
+
+- component steps, keyed by (component, pool cursor), which the one Par
+  rule `_par_steps` combines: each side's moves lifted, then the
+  communications and closes between them;
+- a pair table from (left, right) to the canonical, interned `Par(left,
+  right)`, through which every lifted move and free communication builds
+  its successor, so a product successor is canonicalized once per
+  exploration, not once per edge that reaches it;
+- an input table from (component, channel, datum) to the component's
+  input continuations, so a receiver is opened once per channel and
+  datum, not once per product state with a matching output.
+
+The product states of `p | q` then derive the states of `p` and `q` once
+each instead of once per product state.  Only closes, `new w.(p' | q')`,
+are canonicalized and interned per step.  States whose root is a prefix,
+sum or restriction, and every state explored without a memo, are derived
+whole by `_derive`, and their successors are canonicalized and interned.
+Either way the steps are the same tuples in the same order.  Universes
+with equal known names and input modes are one object while any holder
+lives (see `NameUniverse`), so analyses over few name sets share their
+pool rows.
 
 Actions are interned in a table of this module.  The transition cache
 `_cache` behind `_steps_cached` serves only the bounded exploration of
@@ -66,6 +79,7 @@ conditions of the parallel and close rules by construction.
 from __future__ import annotations
 
 import re
+import weakref
 
 from .syntax import (
     Action,
@@ -95,6 +109,9 @@ from .syntax import (
 _POOL_NAME = re.compile(r"w(?:0|[1-9][0-9]*)")
 
 
+_universes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class NameUniverse:
     """Name supply shared by every term of one analysis.
 
@@ -103,20 +120,30 @@ class NameUniverse:
     w0, w1, ... without the known names: unbounded, since a finite run
     takes one only when it opens a binder of its own.  `row` lists the
     names of each pool cursor, built once per universe and cursor.
-    Universes are equal when their known names and input modes are.
+    Universes are equal when their known names and input modes are, and
+    equal universes alive at one time are one object: constructing one
+    returns the live instance, rows included, from a table that holds
+    universes weakly (a batch of analyses over a few name sets keeps a
+    few universes, not one per analysis).
     """
 
-    __slots__ = ("known", "input_mode", "_skipped", "_rows", "_hash")
+    __slots__ = ("known", "input_mode", "_skipped", "_rows", "_hash", "__weakref__")
 
-    def __init__(self, known, input_mode="early"):
+    def __new__(cls, known, input_mode="early"):
         if input_mode not in ("early", "fresh-only"):
             raise ValueError(f"unknown input mode: {input_mode!r}")
-        self.known = frozenset(known)
-        self.input_mode = input_mode
-        # Numbers of the known names the pool skips, ascending.
-        self._skipped = sorted(int(n[1:]) for n in self.known if _POOL_NAME.fullmatch(n))
-        self._rows: list[tuple] = []
-        self._hash = hash((self.known, input_mode))
+        known = frozenset(known)
+        key = (known, input_mode)
+        self = _universes.get(key)
+        if self is None:
+            self = _universes[key] = super().__new__(cls)
+            self.known = known
+            self.input_mode = input_mode
+            # Numbers of the known names the pool skips, ascending.
+            self._skipped = tuple(sorted(int(n[1:]) for n in known if _POOL_NAME.fullmatch(n)))
+            self._rows: list[tuple] = []
+            self._hash = hash(key)
+        return self
 
     @classmethod
     def for_terms(cls, *terms, extra_known=(), input_mode="early"):
@@ -144,6 +171,9 @@ class NameUniverse:
                 data = (rows[-1][0] if rows else tuple(sorted(self.known))) + (fresh,)
             rows.append((data, fresh))
         return rows[consumed]
+
+    def __reduce__(self):
+        return NameUniverse, (self.known, self.input_mode)
 
     def __eq__(self, other):
         return (
@@ -297,31 +327,37 @@ def _derive(t: Process, data, ext) -> list:
                 done[-1] += right
             elif cls is Par:
                 rights = done.pop()
-                done[-1] = _par_steps(t, done[-1], rights)
+                done[-1] = _par_steps(t, done[-1], rights, Par, _input_derivatives)
             elif cls is Restrict:
                 done[-1] = _restrict_steps(t.binder, done[-1], ext)
             else:
                 done[-1] = _repl_steps(t, done[-1])
 
 
-def _par_steps(t: Par, lefts: list, rights: list) -> list:
+def _par_steps(t: Par, lefts: list, rights: list, pair, receive) -> list:
     """Steps of `t` from its components' steps: each side moving alone,
-    then communications (close when the sender extrudes)."""
-    out = [(a, Par(p2, t.right)) for a, p2 in lefts]
-    out += [(a, Par(t.left, q2)) for a, q2 in rights]
+    then communications (close when the sender extrudes).
+
+    `pair(l, r)` builds the composition of a moved component with the
+    other, and `receive(c, chan, datum)` lists the continuations of the
+    component `c` receiving `datum` on `chan`: `Par` and
+    `_input_derivatives` for a raw derivation, or an `ExplorationMemo`'s
+    tables.  A close is built raw either way."""
+    out = [(a, pair(p2, t.right)) for a, p2 in lefts]
+    out += [(a, pair(t.left, q2)) for a, q2 in rights]
     for a, p2 in lefts:
         if type(a) is FreeOut:
-            for q2 in _input_derivatives(t.right, a.chan, a.datum):
-                out.append((TAU_ACT, Par(p2, q2)))
+            for q2 in receive(t.right, a.chan, a.datum):
+                out.append((TAU_ACT, pair(p2, q2)))
         elif type(a) is BoundOut:
-            for q2 in _input_derivatives(t.right, a.chan, a.binder):
+            for q2 in receive(t.right, a.chan, a.binder):
                 out.append((TAU_ACT, Restrict(a.binder, Par(p2, q2))))
     for a, q2 in rights:
         if type(a) is FreeOut:
-            for p2 in _input_derivatives(t.left, a.chan, a.datum):
-                out.append((TAU_ACT, Par(p2, q2)))
+            for p2 in receive(t.left, a.chan, a.datum):
+                out.append((TAU_ACT, pair(p2, q2)))
         elif type(a) is BoundOut:
-            for p2 in _input_derivatives(t.left, a.chan, a.binder):
+            for p2 in receive(t.left, a.chan, a.binder):
                 out.append((TAU_ACT, Restrict(a.binder, Par(p2, q2))))
     return out
 
@@ -371,36 +407,81 @@ _actions: dict = {}
 
 
 def _canonical_steps(steps: list, avoid) -> list:
-    """`steps` with every successor alpha-canonical and interned, each
-    pair kept at its first occurrence."""
+    """`steps` with every action and successor interned, successors
+    alpha-canonical, each pair kept at its first occurrence."""
     return list(dict.fromkeys(
-        (a, hashcons(alpha_canonical(q, avoid=avoid))) for a, q in steps
+        (_actions.setdefault(a, a), hashcons(alpha_canonical(q, avoid=avoid)))
+        for a, q in steps
     ))
 
 
-def _composed_steps(t: Par, consumed: int, u: NameUniverse, memo: dict) -> list:
-    """Raw steps of the composition `t` at pool cursor `consumed`, combined
-    by `_par_steps` from its components' steps.
+class ExplorationMemo:
+    """What one exploration under one universe derives once for the
+    compositions among its states.
 
-    `memo` maps (component, cursor) to the component's steps, successors
-    canonical and interned; it serves one universe, since a component's
-    steps depend only on the component, the cursor and the universe.  The
-    Par spine is walked on an explicit stack: a composed component is
-    entered in `memo` once both of its parts are.  Canonical or not, a
-    component successor is alpha-equivalent to the raw one, so every
-    successor built from it canonicalizes to the same term, and dropping
-    repeated component steps drops only steps that repeat in `t`.
+    - `steps` maps (component, pool cursor) to the component's steps,
+      successors canonical and interned.
+    - `pairs` maps (left, right) to the canonical, interned `Par(left,
+      right)`: the successor of a composition when one side moves or the
+      two communicate freely.
+    - `inputs` maps (component, channel, datum) to the component's
+      `_input_derivatives`.
+
+    Component steps and canonical forms depend on the universe (its input
+    data and known names), so a memo serves one universe: `build_lts_multi`
+    makes one per graph and each `BehaviorIndex` holds one.
+    """
+
+    __slots__ = ("avoid", "steps", "pairs", "inputs")
+
+    def __init__(self, u: NameUniverse):
+        self.avoid = u.known
+        self.steps: dict = {}
+        self.pairs: dict = {}
+        self.inputs: dict = {}
+
+    def pair(self, left: Process, right: Process) -> Process:
+        got = self.pairs.get((left, right))
+        if got is None:
+            got = self.pairs[left, right] = hashcons(
+                alpha_canonical(Par(left, right), avoid=self.avoid)
+            )
+        return got
+
+    def receive(self, t: Process, chan, datum) -> tuple:
+        got = self.inputs.get((t, chan, datum))
+        if got is None:
+            got = self.inputs[t, chan, datum] = _input_derivatives(t, chan, datum)
+        return got
+
+
+def _composed_steps(t: Par, consumed: int, u: NameUniverse, memo: ExplorationMemo) -> list:
+    """Steps of the composition `t` at pool cursor `consumed`, combined by
+    `_par_steps` from its components' steps, successors canonical and
+    interned and each kept at its first occurrence.
+
+    Components' steps come from `memo.steps`; the Par spine is walked on
+    an explicit stack, and a composed component is entered in the memo
+    once both of its parts are.  Moves and free communications take their
+    successors from the pair table, which are final; only closes, `new
+    w.(p' | q')`, are canonicalized here.  Every action is a component's,
+    interned with its steps, or `TAU_ACT`.  Canonical or not, a component
+    successor is alpha-equivalent to the raw one, so every successor
+    built from it canonicalizes to the same term as in a whole
+    derivation, and dropping repeated component steps drops only steps
+    that repeat in `t`.
     """
     data, fresh = u.row(consumed)
     avoid = u.known
+    table = memo.steps
     todo = [t]
     while True:
         c = todo[-1]
         parts = []
         for x in (c.left, c.right):
-            got = memo.get((x, consumed))
+            got = table.get((x, consumed))
             if got is None and type(x) is not Par:
-                got = memo[x, consumed] = _canonical_steps(_derive(x, data, fresh), avoid)
+                got = table[x, consumed] = _canonical_steps(_derive(x, data, fresh), avoid)
             parts.append(got)
         lefts, rights = parts
         if lefts is None or rights is None:
@@ -410,14 +491,17 @@ def _composed_steps(t: Par, consumed: int, u: NameUniverse, memo: dict) -> list:
                 todo.append(c.left)
             continue
         todo.pop()
-        steps = _par_steps(c, lefts, rights)
+        steps = list(dict.fromkeys(
+            (a, hashcons(alpha_canonical(q, avoid=avoid)) if type(q) is Restrict else q)
+            for a, q in _par_steps(c, lefts, rights, memo.pair, memo.receive)
+        ))
         if not todo:
             return steps
-        memo[c, consumed] = _canonical_steps(steps, avoid)
+        table[c, consumed] = steps
 
 
 def derive_steps(
-    state: tuple[Process, int], u: NameUniverse, memo: dict | None = None
+    state: tuple[Process, int], u: NameUniverse, memo: ExplorationMemo | None = None
 ) -> tuple:
     """Uncached step derivation on an exploration state.
 
@@ -427,25 +511,23 @@ def derive_steps(
     unchanged subterm with `state` and with each other), and carry the
     updated pool cursor.  Actions are interned too.
 
-    `memo`, owned by one exploration under `u`, keeps the steps of the
-    components of compositions (see `_composed_steps`), so a composition
-    derives each component once per cursor; other states, and every
-    state when `memo` is None, are derived whole.
+    `memo`, owned by one exploration under `u`, derives compositions
+    from their components (see `_composed_steps`), so a composition
+    derives each component once per cursor and builds each successor
+    pair once; other states, and every state when `memo` is None, are
+    derived whole.
     """
     term, consumed = state
     data, fresh = u.row(consumed)
-    avoid = u.known
     if memo is not None and type(term) is Par:
         steps = _composed_steps(term, consumed, u, memo)
     else:
-        steps = _derive(term, data, fresh)
+        steps = _canonical_steps(_derive(term, data, fresh), u.known)
     out = []
     for a, q in steps:
         bump = isinstance(a, BoundOut) or (isinstance(a, In) and a.datum == fresh)
-        a = _actions.setdefault(a, a)
-        q = hashcons(alpha_canonical(q, avoid=avoid))
         out.append((a, (q, consumed + 1 if bump else consumed)))
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
 
 
 _cache: dict = {}

@@ -240,6 +240,13 @@ def test_exit_code_is_a_property_of_the_error_type(cls, capsys, monkeypatch):
             lambda r: len(r["lts"]["edges"]) > 20,
             id="lts",
         ),
+        pytest.param(
+            # Two-way communication and a close, through the pair table.
+            ["lts", "new z.a!z.z?(x).0 | a?(y).y!b.0 | a!c.0"],
+            lambda r: "new v0.(0 | 0) | 0" in r["lts"]["states"]
+            and sum(e[1] == "tau" for e in r["lts"]["edges"]) > 5,
+            id="lts-close",
+        ),
     ],
 )
 def test_json_results_independent_of_hash_seed(args, nontrivial):

@@ -20,11 +20,15 @@ from piwb import (
     substitute,
     transitions,
 )
+from piwb import semantics
 from piwb.lts import build_lts_multi
 from piwb.decompose import TermUniverse
 from piwb.equivalence import BehaviorIndex
 from piwb.semantics import (
+    ExplorationMemo,
+    _actions,
     _instances,
+    _universes,
     clear_transition_cache,
     derive_steps,
     start_index,
@@ -107,6 +111,31 @@ def test_pool_skips_known_names():
     assert gaps.row(2)[0] == ("a", "w0", "w2", "w1", "w3", "w4")
     fresh_only = NameUniverse(known={"a", "w0"}, input_mode="fresh-only")
     assert fresh_only.row(1) == (("w2",), "w2")
+
+
+def test_equal_universes_are_one_object():
+    # Names no other test uses, so no earlier universe is alive.
+    p = parse("ua?(x).x!ub.0 | new z.uc!z.0")
+    u = NameUniverse.for_terms(p)
+    assert NameUniverse.for_terms(p) is u
+    assert NameUniverse(known=["uc", "ub", "ua"]) is u
+    # Rows are built once, for every holder of the universe.
+    row = u.row(3)
+    assert NameUniverse.for_terms(p).row(3) is row
+    assert len(u._rows) == 4
+    # Equality and hashing still follow the known names and input mode.
+    fresh = NameUniverse.for_terms(p, input_mode="fresh-only")
+    assert fresh is not u and fresh != u
+    assert u == NameUniverse({"ua", "ub", "uc"}) and hash(u) == hash((u.known, "early"))
+    assert u != NameUniverse({"ua", "ub"})
+    with pytest.raises(ValueError, match="unknown input mode"):
+        NameUniverse({"a"}, "late")
+    # The table holds universes weakly: an entry goes with its last holder.
+    key = (frozenset({"only-here"}), "early")
+    v = NameUniverse({"only-here"})
+    assert _universes[key] is v
+    del v
+    assert key not in _universes
 
 
 def test_pool_names_are_w_and_a_plain_number():
@@ -385,7 +414,7 @@ def _memo_against_whole(roots, u, cap):
     for all of them; each state's steps must equal, tuple for tuple and
     in order, its steps derived whole.  Returns the number of composed
     states and the memo."""
-    memo: dict = {}
+    memo = ExplorationMemo(u)
     composed = 0
     for p in roots:
         seen = {state_for(p, u)}
@@ -394,6 +423,7 @@ def _memo_against_whole(roots, u, cap):
             state = queue.pop(0)
             steps = derive_steps(state, u, memo)
             assert steps == derive_steps(state, u), state
+            assert all(_actions[a] is a for a, _q in steps)
             composed += type(state[0]) is Par
             for _a, q in steps:
                 if q not in seen:
@@ -415,12 +445,28 @@ def test_component_memo_changes_no_step(mode):
         parse("new z.(a!z.0 | b?(x).x!z.0)"),
         parse("new z.a!z.z?(x).x!z.0 | a?(y).y!y.0"),  # extrusion and close
         parse("a?(y).y!y.0 | new z.a!z.z?(x).0"),  # the right side extrudes
+        # Communication both ways, then a close whose partners talk back.
+        parse("a!b.c?(x).x!a.0 | a?(y).c!y.y?(z).0"),
+        parse("new z.a!z.z?(x).z!x.0 | a?(y).y!b.y?(w).w!w.0 | a!c.0"),
+        parse("a?(x).new z.x!z.z?(y).y!y.0 | (a!b.b?(w).w!c.0 | a!c.0)"),
     ]
     u = NameUniverse.for_terms(*roots, input_mode=mode)
     composed, memo = _memo_against_whole(roots, u, cap=60)
     assert composed > 5000
-    # Components recur at several pool cursors.
-    assert len({c for c, _k in memo}) < len(memo)
+    # Components recur at several pool cursors; the pair and input
+    # tables serve the compositions.
+    assert len({c for c, _k in memo.steps}) < len(memo.steps)
+    assert memo.pairs and memo.inputs
+
+    # A universe that also knows v0 names binders from v1 on, so one
+    # (left, right) pair canonicalizes differently under the two: a pair
+    # table kept from the other universe would hand out the wrong term.
+    both_ways = roots[-3:] + [parse("a!b.0 | a?(x).c?(y).y!x.0")]
+    plain = NameUniverse.for_terms(*both_ways, input_mode=mode)
+    with_v0 = NameUniverse.for_terms(*both_ways, extra_known={"v0"}, input_mode=mode)
+    memos = [_memo_against_whole(both_ways, w, cap=200)[1] for w in (plain, with_v0)]
+    shared = memos[0].pairs.keys() & memos[1].pairs.keys()
+    assert any(memos[0].pairs[k] != memos[1].pairs[k] for k in shared)
 
     # A free v0 is avoided by every canonical form, so no successor takes
     # the level-tag shortcut.
@@ -431,16 +477,44 @@ def test_component_memo_changes_no_step(mode):
 
 
 def test_right_component_communicates_with_the_left():
-    memo: dict = {}
     for text, want in [
         ("a?(x).x!x.0 | a!b.0", "b!b.0 | 0"),
         ("a?(x).x!x.0 | new z.a!z.0", "new z.(z!z.0 | 0)"),  # close
     ]:
         p = parse(text)
         u = NameUniverse.for_terms(p)
+        memo = ExplorationMemo(u)
         for steps in (derive_steps(state_for(p, u), u, memo), derive_steps(state_for(p, u), u)):
             taus = [q for a, (q, _k) in steps if a == TAU_ACT]
             assert taus == [level_canonical(parse(want), u.known)]
+
+
+def test_input_continuations_derived_once_per_exploration(monkeypatch):
+    # Every receiver meets each (channel, datum) in many product states;
+    # an exploration derives its continuations once and reuses them.
+    calls = []
+    asked = []
+    derive_inputs = semantics._input_derivatives
+    receive = ExplorationMemo.receive
+
+    def counted(t, chan, datum):
+        calls.append((t, chan, datum))
+        return derive_inputs(t, chan, datum)
+
+    def asking(memo, t, chan, datum):
+        asked.append((t, chan, datum))
+        return receive(memo, t, chan, datum)
+
+    monkeypatch.setattr(semantics, "_input_derivatives", counted)
+    monkeypatch.setattr(ExplorationMemo, "receive", asking)
+    p = parse("a!b.a!c.c?(x).x!a.0 | a?(y).c!y.a?(z).0 | a!c.c?(w).0")
+    u = NameUniverse.for_terms(p)
+    for explore in (lambda: build_lts_multi([p], u), lambda: BehaviorIndex(u).class_of(p)):
+        calls.clear()
+        asked.clear()
+        explore()
+        assert calls and len(calls) == len(set(calls))
+        assert set(calls) == set(asked) and len(asked) > 2 * len(calls)
 
 
 def _whole_graph(p, u):
