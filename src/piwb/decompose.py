@@ -1020,6 +1020,15 @@ def upd_sweep(
     disagreement is reported as a violation.  This is exactly pairwise
     multiset_eq_mod_bisim over equivalent pairs, computed class-wise.
 
+    Terms come smallest first, and every step removes at least one
+    prefix, so each derivative is strictly smaller than its source: size
+    ranks the states as rank ranks them in `BehaviorIndex`, and no later
+    term ever reaches a term of `max_size`.  From the first such term on
+    (all later ones have that size too) terms are classified through
+    `BehaviorIndex.class_of_root`, which keeps their successors but not
+    the terms themselves.  The derivation tables are cleared on entry
+    and on exit, so a sweep leaves nothing interned behind.
+
     In weak mode terms are swept in fresh-only input discipline by
     default.  `normalization_failures` stays in the report for its
     readers and is always empty: no term is rewritten before its factors
@@ -1028,16 +1037,22 @@ def upd_sweep(
     if input_mode is None:
         input_mode = "fresh-only" if mode == WEAK else "early"
     clear_transition_cache()
-    tu = TermUniverse(names, max_size)
-    index = BehaviorIndex(NameUniverse(tu.names, input_mode))
-    sweep = _Sweep(index, mode)
+    try:
+        tu = TermUniverse(names, max_size)
+        index = BehaviorIndex(NameUniverse(tu.names, input_mode))
+        sweep = _Sweep(index, mode)
 
-    term_count = 0
-    for term in tu.enumerate():
-        term_count += 1
-        sweep.add_term(term)
+        term_count = 0
+        retain = True
+        for term in tu.enumerate():
+            term_count += 1
+            if retain and term_size(term) == max_size:
+                retain = False
+            sweep.add_term(term, retain)
 
-    violations = sweep.collect_violations()
+        violations = sweep.collect_violations()
+    finally:
+        clear_transition_cache()
     with_pairs = sum(1 for n in sweep.member_count.values() if n > 1)
     return SweepReport(
         mode=mode,
@@ -1058,6 +1073,11 @@ class _Sweep:
     Terms are recorded as they are enumerated, in both modes: the index
     fills its weak layer in class-id order and each class depends only
     on smaller ids, so a term's weak id is final as soon as it is read.
+
+    Every class keeps its member count and depth.  Only a class with a
+    member that splits structurally keeps its factorizations, each with
+    the rendered text of its first member: an unsplit member adds no
+    information and its text is never reported.
     """
 
     def __init__(self, index: BehaviorIndex, mode: str):
@@ -1068,28 +1088,37 @@ class _Sweep:
         self.class_depth: dict[int, int] = {}
         self.nil = index.nil_class_in_mode(mode)
 
-    def add_term(self, term: Process):
+    def add_term(self, term: Process, retain: bool = True):
+        """Record `term`; with `retain` False it is classified through
+        `BehaviorIndex.class_of_root`, so no later term may reach it."""
         index = self.index
-        strong = index.class_of(term)
+        strong = index.class_of(term) if retain else index.class_of_root(term)
         cid = strong if self.mode == STRONG else index.weak_id(strong)
         if cid == self.nil:
             return
-        key = self.factor_key(term, cid)
         self.member_count[cid] = self.member_count.get(cid, 0) + 1
-        by_class = self.factorizations.setdefault(cid, {})
-        if key not in by_class:
-            by_class[key] = _render(term, 0)
         if cid not in self.class_depth:
             self.class_depth[cid] = index.depths[strong]
+        key = self.factor_key(term, cid)
+        if key != (cid,):
+            by_class = self.factorizations.setdefault(cid, {})
+            if key not in by_class:
+                by_class[key] = _render(term, 0)
 
     def factor_key(self, term: Process, cid: int) -> tuple[int, ...]:
         """Sorted class ids of the factors of `term`, whose class `cid` is
-        not 0's.  A summation is its own only factor: narrowing it leaves
-        an equivalent summation."""
+        not 0's.  A summation is its own only factor (narrowing it leaves
+        an equivalent summation), and so is a term that narrowing leaves
+        as it is."""
         if isinstance(term, (Nil, Prefixed, Sum)):
             return (cid,)
-        factors = _factor_classes(term, self.index, self.mode, self.nil)
-        return tuple(sorted(c for c, _f in factors))
+        factors = parallel_factors(term)
+        if factors == [term]:
+            return (cid,)
+        nil, index, mode = self.nil, self.index, self.mode
+        return tuple(sorted(
+            c for f in factors if (c := index.class_in_mode(f, mode)) != nil
+        ))
 
     def collect_violations(self) -> list:
         final: dict[int, Counter] = {}
@@ -1099,11 +1128,12 @@ class _Sweep:
             got = final.get(cid)
             if got is not None:
                 return got
+            by_class = self.factorizations.get(cid)
+            if by_class is None:
+                return Counter({cid: 1})  # no member splits
             refined: Counter | None = None
             witness = None
-            for fids, text in self.factorizations.get(cid, {(cid,): ""}).items():
-                if len(fids) == 1 and fids[0] == cid:
-                    continue  # structurally unsplit; no new information
+            for fids, text in by_class.items():
                 acc: Counter = Counter()
                 for fid in fids:
                     if fid == cid:
@@ -1123,13 +1153,11 @@ class _Sweep:
                             "other_factors": sorted(refined.elements()),
                         }
                     )
-            if refined is None:
-                refined = Counter({cid: 1})
             final[cid] = refined
             return refined
 
-        for cid in sorted(
-            self.factorizations, key=lambda c: self.class_depth.get(c, 0)
-        ):
+        # Classes in order of depth, then of first member, as enumerated.
+        split = [c for c in self.member_count if c in self.factorizations]
+        for cid in sorted(split, key=self.class_depth.__getitem__):
             finalize(cid)
         return violations

@@ -117,6 +117,26 @@ class BehaviorIndex:
         avoid = self.universe.known
         return self._explore((hashcons(alpha_canonical(term, avoid=avoid)), consumed))
 
+    def class_of_root(self, term: Process) -> int:
+        """`class_of(term)` for a term no later query reaches: its
+        successors are classified and kept, but `term` itself goes into
+        neither the class table nor the `hashcons` table.
+
+        A caller may use it when it knows that no state explored later
+        has `term` as a successor.  Every step removes at least one
+        prefix, so a derivative is strictly smaller than its source, and
+        a term at least as large as every term queried after it is never
+        reached again (`decompose.upd_sweep` classifies its largest
+        terms here).
+        """
+        u = self.universe
+        root = (alpha_canonical(term, avoid=u.known), start_index(term, u))
+        got = self._class_of.get(root)
+        if got is not None:
+            return got
+        steps = derive_steps(root, u, self._memo)
+        return self.intern(frozenset((a, self._explore(q)) for a, q in steps))
+
     def _explore(self, root) -> int:
         class_of = self._class_of
         got = class_of.get(root)

@@ -5,6 +5,8 @@ PASS lines; every tolerance is exact (integer metrics and boolean
 verdicts), and each criterion enforces its own wall-clock budget.
 """
 
+import resource
+import sys
 import time
 
 import pytest
@@ -219,15 +221,31 @@ def test_criterion_8_stutter_normalization():
     )
 
 
+# Peak memory budget of the two size-6 sweeps, in MB: the heavier (weak,
+# fresh-only) peaked at 560 MB alone and at 597 MB in this test, on Linux
+# under Python 3.11.
+SWEEP_PEAK_MB = 750
+
+
+def _peak_rss_mb() -> float:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 @pytest.mark.slow
 def test_criterion_9_upd_sweep():
     t0 = time.time()
+    before = _peak_rss_mb()
     strong_rep = upd_sweep(["a", "b"], 6, STRONG)
     assert strong_rep.violations == []
     assert strong_rep.classes_with_pairs > 0
     weak_rep = upd_sweep(["a", "b"], 6, WEAK)
     assert weak_rep.violations == []
     assert weak_rep.normalization_failures == []
+    # A process that already peaked higher, earlier in a session, cannot
+    # show the sweeps' own peak; the budget then holds trivially.
+    peak = _peak_rss_mb()
+    assert peak <= max(before, SWEEP_PEAK_MB), (before, peak)
     # Cross-check the batch verdicts against the per-pair route on sample
     # equivalent pairs.
     samples = [
@@ -246,7 +264,8 @@ def test_criterion_9_upd_sweep():
         f"UPD sweep: strong {strong_rep.term_count} terms "
         f"({strong_rep.classes_with_pairs} classes with pairs), "
         f"weak {weak_rep.term_count} terms "
-        f"({weak_rep.classes_with_pairs} classes with pairs), zero violations",
+        f"({weak_rep.classes_with_pairs} classes with pairs), zero violations, "
+        f"peak {peak:.0f} MB (budget {SWEEP_PEAK_MB} MB)",
         elapsed,
         900,
     )

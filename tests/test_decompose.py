@@ -24,11 +24,13 @@ from piwb import (
     upd_sweep,
     verify_upd,
 )
+from piwb import decompose, semantics, syntax
 from piwb.decompose import (
     BehaviorIndex,
     Decomposition,
     NO_SPLIT,
     SplitFound,
+    SweepReport,
     TermUniverse,
     _Sweep,
     _factor_classes,
@@ -451,6 +453,135 @@ def test_mini_sweep_weak_early_inputs():
     assert (rep.term_count, rep.class_count, rep.classes_with_pairs) == (2136, 646, 94)
     assert rep.violations == []
     assert rep.normalization_failures == []
+
+
+def test_sweep_reports_conflicting_factorizations():
+    # Two members of one class whose refined factor multisets differ make
+    # a violation, whose witness is the class's first split member.  The
+    # keys of two unsplit members are overridden to conflict; the deeper
+    # class is recorded first, but classes are settled shallowest first,
+    # so the shallow class's violation comes first although the deep
+    # class's third factorization refines through it.
+    index = BehaviorIndex(NameUniverse(frozenset("ab"), "early"))
+    sweep = _Sweep(index, STRONG)
+    a, b = index.class_of(parse("a!b.0")), index.class_of(parse("b!a.0"))
+    p = index.class_of(parse("a!b.0 | a!b.0"))
+    forced = {
+        parse("a!b.a!b.a!b.0"): (a, a, b),
+        parse("a!b.a!b.0"): (a, b),
+    }
+    real_key = sweep.factor_key
+    sweep.factor_key = lambda t, cid: forced.get(t) or real_key(t, cid)
+    for text in [
+        "a!b.0 | a!b.0 | a!b.0",
+        "a!b.a!b.a!b.0",
+        "a!b.0 | a!b.a!b.0",
+        "a!b.0 | a!b.0",
+        "a!b.a!b.0",
+        "b!a.0",
+        "a!b.0",
+    ]:
+        sweep.add_term(parse(text))
+    q = index.class_of(parse("a!b.0 | a!b.0 | a!b.0"))
+    assert (a, b, p, q) == (1, 2, 3, 4)
+    assert sweep.collect_violations() == [
+        {
+            "class": 3,
+            "term": "a!b.a!b.0",
+            "other": "a!b.0 | a!b.0",
+            "factors": [1, 2],
+            "other_factors": [1, 1],
+        },
+        {
+            "class": 4,
+            "term": "a!b.a!b.a!b.0",
+            "other": "a!b.0 | a!b.0 | a!b.0",
+            "factors": [1, 1, 2],
+            "other_factors": [1, 1, 1],
+        },
+    ]
+
+
+def _reference_sweep(names, size, mode, inputs) -> SweepReport:
+    """`upd_sweep`'s report from an index that keeps every term: each is
+    classified with `class_of`, and every factorization is kept."""
+    tu = TermUniverse(names, size)
+    index = BehaviorIndex(NameUniverse(tu.names, inputs))
+    nil = index.nil_class_in_mode(mode)
+    keys: dict = {}  # class -> {factor key: first member's text}
+    members: dict = {}
+    depth: dict = {}
+    terms = 0
+    for t in tu.enumerate():
+        terms += 1
+        strong = index.class_of(t)
+        cid = strong if mode == STRONG else index.weak_id(strong)
+        if cid != nil:
+            key = tuple(sorted(c for c, _f in _factor_classes(t, index, mode, nil)))
+            keys.setdefault(cid, {}).setdefault(key, pretty(t))
+            members[cid] = members.get(cid, 0) + 1
+            depth.setdefault(cid, index.depths[strong])
+    refined: dict = {}
+    violations = []
+
+    def refine(cid):
+        if cid not in refined:
+            splits = [(k, text) for k, text in keys.get(cid, {}).items() if k != (cid,)]
+            multisets = [sorted(x for f in k for x in refine(f)) for k, _t in splits]
+            for (_k, text), got in zip(splits[1:], multisets[1:]):
+                if got != multisets[0]:
+                    violations.append({"class": cid, "term": text, "other": splits[0][1],
+                                       "factors": got, "other_factors": multisets[0]})
+            refined[cid] = multisets[0] if splits else [cid]
+        return refined[cid]
+
+    for cid in sorted(keys, key=depth.__getitem__):
+        refine(cid)
+    return SweepReport(mode, tuple(tu.names), size, inputs, terms, len(keys),
+                       sum(n > 1 for n in members.values()), violations, [])
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+@pytest.mark.parametrize("inputs", ["early", "fresh-only"])
+def test_sweep_keeps_no_max_size_term(size, mode, inputs, monkeypatch):
+    # A term of the largest size is classified, but neither it nor its
+    # class's bookkeeping outlives its own step; the report is that of a
+    # reference that keeps everything.  Identity, not equality: a
+    # narrowed factor may be an equal term, interned in its own right.
+    enumerated = []
+    real_enumerate = TermUniverse.enumerate
+
+    def recording(self):
+        for t in real_enumerate(self):
+            enumerated.append(t)
+            yield t
+
+    kept = []
+    real_clear = decompose.clear_transition_cache
+
+    def clear():
+        table = syntax._hashcons_table
+        kept.append(sum(
+            syntax.term_size(t) == size and table.get(t) is t for t in enumerated
+        ))
+        real_clear()
+
+    monkeypatch.setattr(TermUniverse, "enumerate", recording)
+    monkeypatch.setattr(decompose, "clear_transition_cache", clear)
+    report = upd_sweep(["a", "b"], size, mode, inputs)
+    monkeypatch.undo()
+    assert kept == [0, 0]  # cleared on entry and before it exits
+    assert any(syntax.term_size(t) == size for t in enumerated)
+    assert report == _reference_sweep(["a", "b"], size, mode, inputs)
+    assert report.classes_with_pairs > 0
+
+
+def test_sweep_leaves_no_tables_behind():
+    upd_sweep(["a", "b"], 3, STRONG)
+    assert not syntax._hashcons_table and not syntax._fn_table
+    assert not semantics._instances and not semantics._actions
+    assert not semantics._cache
 
 
 def test_behavior_index_matches_bisim():
