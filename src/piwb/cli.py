@@ -19,7 +19,7 @@ from . import __version__
 from .decompose import (
     NO_SPLIT,
     TermUniverse,
-    decomposition,
+    _checked_decomposition,
     find_split,
     upd_sweep,
     verify_upd,
@@ -145,15 +145,14 @@ def cmd_normalize(args, t0):
 def cmd_decompose(args, t0):
     p = parse(args.term)
     u = _universe(args, p)
-    d = decomposition(p, args.mode, u)
-    composed_ok = bisim(d.composed(), p, args.mode, _universe(args, p, d.composed()))[0]
+    d, verified = _checked_decomposition(p, args.mode, u)
     results = {
         "input": pretty(p),
         "mode": args.mode,
         "factors": d.to_json_dict()["factors"],
-        "verified_equivalent": composed_ok,
+        "verified_equivalent": verified,
     }
-    code = 0 if composed_ok else 1
+    code = 0 if verified else 1
     return _report(args, "decompose", [pretty(p)], results, t0), code
 
 

@@ -639,7 +639,8 @@ def find_split(
     nil = index.nil_class_in_mode(mode)
     if target == nil:
         return NO_SPLIT
-    obs = _observed(index, index.class_of(p))
+    root = index.class_of(p)
+    obs = _observed(index, root)
     # A weak tau challenge may be answered by staying put, so tau-prefixed
     # candidates stay legal in weak mode even if p itself never steps
     # internally.
@@ -663,29 +664,16 @@ def find_split(
         in_channels=obs.in_channels,
         bound_out_channels=obs.bound_out_channels,
     )
-    depth_p = index.depth_of(p)
-    root_state = state_for(p, u)
+    depth_p = index.depths[root]
     if mode == STRONG:
-        allowed_initials = frozenset(
-            _label(a) for a, _ in derive_steps(root_state, u)
-        )
+        moves = index.signatures[root]
     else:
         # Weak answers may absorb internal steps, so a factor's initial
-        # visible action only needs to be weakly initial in p; internal
-        # steps can always be answered by standing still.
-        allowed = {("t",)}
-        seen_states = set()
-        stack = [root_state]
-        while stack:
-            s = stack.pop()
-            if s in seen_states:
-                continue
-            seen_states.add(s)
-            for a, q2 in derive_steps(s, u):
-                allowed.add(_label(a))
-                if a == TAU_ACT:
-                    stack.append(q2)
-        allowed_initials = frozenset(allowed)
+        # visible action only needs to be weakly initial in p, a visible
+        # move of p's weak record; internal steps can always be answered
+        # by standing still.
+        moves = index._weak_sigs[index.weak_id(root)][0] | {(TAU_ACT, None)}
+    allowed_initials = frozenset(_label(a) for a, _c in moves)
 
     candidates: dict[int, list[Process]] = {}
     seen_classes: set[int] = set()
@@ -908,6 +896,16 @@ def decomposition(
     if u is None:
         u = NameUniverse.for_terms(p)
     return _decompose(p, mode, BehaviorIndex(_widened(u, [p])))[0]
+
+
+def _checked_decomposition(p: Process, mode: str, u: NameUniverse):
+    """`decomposition(p, mode, u)`, and whether each reported factor has
+    the class of the factor it stands for in the index that found them.
+    A split is accepted only when class(q | r) == class(f), and `|` is a
+    congruence, so then the reported factors compose to `p`'s class."""
+    index = BehaviorIndex(_widened(u, [p]))
+    d, ids = _decompose(p, mode, index)
+    return d, sorted(index.class_in_mode(f, mode) for f in d) == ids
 
 
 def multiset_eq_mod_bisim(d1: Decomposition, d2: Decomposition) -> bool:

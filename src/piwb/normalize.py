@@ -1,37 +1,41 @@
 """Head normal forms, stuttering detection, and stutter-free normalization.
 
 A head normal form is a sum of prefixed continuations that is strongly
-bisimilar to its source term.  Bound-output summands (output of a hidden
-name) get their own prefix class since the two-level grammar cannot put a
-restriction directly under a sum; `HeadNormalForm.to_process` still
-produces the operationally faithful term, which is for equivalence
-checking and display rather than re-parsing.
+bisimilar to its source term: the term's own steps, as `semantics._derive`
+derives them with inputs left unopened, each action read back as a guard.
+Bound-output summands (output of a hidden name) get their own prefix
+class since the two-level grammar cannot put a restriction directly under
+a sum; `HeadNormalForm.to_process` still produces the operationally
+faithful term, which is for equivalence checking and display rather than
+re-parsing.
 
 A stuttering transition is an internal step between weakly bisimilar
-states.  `stutter_free_representative` rewrites a term into a weakly
-bisimilar one from which no stuttering transition is reachable, guided
-by the weak classes and stuttering flags of a `BehaviorIndex`.
-`stutter_free` builds on it, verifies its output through the same index
-and raises NormalizationIncomplete instead of claiming an unverified
-result.
+states.  Every verdict here reads one `BehaviorIndex`: its weak classes
+and stuttering flags decide stuttering and guide
+`stutter_free_representative`, which rewrites a term into a weakly
+bisimilar one from which no stuttering transition is reachable.
+`stutter_free` verifies that result through the same index and raises
+NormalizationIncomplete, with a witness read from the index, instead of
+claiming an unverified result.  No walk here recurses.
 """
 
 from __future__ import annotations
 
-from .equivalence import WEAK, BehaviorIndex, refine
+from functools import reduce
+
+from .equivalence import BehaviorIndex
 from .errors import NormalizationIncomplete, NotFinite
-from .lts import build_lts_multi
 from .parser import _render
-from .semantics import NameUniverse, _resolve_prefix
+from .semantics import NameUniverse, _derive, derive_steps, start_index, state_for
 from .syntax import (
+    BoundOut,
+    FreeOut,
     Input,
-    Nil,
     NIL,
     Output,
     Par,
     Prefixed,
     Process,
-    Repl,
     Restrict,
     Sum,
     TAU,
@@ -39,7 +43,6 @@ from .syntax import (
     Tau,
     alpha_canonical,
     is_replication_free,
-    substitute,
 )
 
 
@@ -96,69 +99,27 @@ class HeadNormalForm:
                 )
             else:
                 parts.append(Prefixed(guard, cont))
-        if not parts:
-            return NIL
-        term = parts[0]
-        for part in parts[1:]:
-            term = Sum(term, part)
-        return term
+        return reduce(Sum, parts) if parts else NIL
 
 
-def _hnf(t: Process):
-    if isinstance(t, Nil):
-        return []
-    if isinstance(t, Prefixed):
-        core = _resolve_prefix(t.prefix)
-        if core is None:
-            return []
-        return [(core, t.cont)]
-    if isinstance(t, Sum):
-        return _hnf(t.left) + _hnf(t.right)
-    if isinstance(t, Par):
-        left = _hnf(t.left)
-        right = _hnf(t.right)
-        out = [(g, Par(cont, t.right)) for g, cont in left]
-        out += [(g, Par(t.left, cont)) for g, cont in right]
-        out += _hnf_comm(left, right)
-        out += _hnf_comm(right, left)
-        return out
-    if isinstance(t, Restrict):
-        z = t.binder
-        out = []
-        for g, cont in _hnf(t.body):
-            if isinstance(g, Output):
-                if g.chan == z:
-                    continue
-                if g.datum == z:
-                    out.append((BoundOutputPrefix(g.chan, z), cont))
-                else:
-                    out.append((g, Restrict(z, cont)))
-            elif isinstance(g, (Input, BoundOutputPrefix)):
-                if g.chan == z:
-                    continue
-                out.append((g, Restrict(z, cont)))
-            else:
-                out.append((g, Restrict(z, cont)))
-        return out
-    if isinstance(t, Repl):
-        raise NotFinite("head normal form requires a replication-free term")
-    raise TypeError(f"not a process: {t!r}")
+def _hnf(t: Process, u: NameUniverse) -> list:
+    """Summands of the head normal form of the alpha-canonical term `t`:
+    its derivation under `u` read symbolically (`semantics._derive` with
+    inputs left unopened), each step's action turned back into a guard.
 
-
-def _hnf_comm(senders, receivers):
-    """Tau summands for communications from `senders` into `receivers`."""
+    A bound output extrudes the next pool name of `u`, never the
+    restricted binder: canonical siblings share binder names, and a
+    receiver under a restriction of the extruded name would not take it.
+    """
     out = []
-    for g, cont in senders:
-        if isinstance(g, Output):
-            for g2, cont2 in receivers:
-                if isinstance(g2, Input) and g2.chan == g.chan:
-                    merged = Par(cont, substitute(cont2, g.datum, g2.binder))
-                    out.append((TAU, merged))
-        elif isinstance(g, BoundOutputPrefix):
-            for g2, cont2 in receivers:
-                if isinstance(g2, Input) and g2.chan == g.chan:
-                    merged = Par(cont, substitute(cont2, g.binder, g2.binder))
-                    out.append((TAU, Restrict(g.binder, merged)))
+    for a, cont in _derive(t, None, u.row(start_index(t, u))[1]):
+        if a == TAU_ACT:
+            guard = TAU
+        elif type(a) is BoundOut:
+            guard = BoundOutputPrefix(a.chan, a.binder)
+        else:
+            guard = (Output if type(a) is FreeOut else Input)(a.chan, a.datum)
+        out.append((guard, cont))
     return out
 
 
@@ -172,7 +133,7 @@ def expand_hnf(p: Process) -> HeadNormalForm:
     """
     if not is_replication_free(p):
         raise NotFinite("head normal form requires a replication-free term")
-    return HeadNormalForm(_hnf(alpha_canonical(p)))
+    return HeadNormalForm(_hnf(alpha_canonical(p), NameUniverse.for_terms(p)))
 
 
 # --------------------------------------------------------------------------
@@ -189,19 +150,32 @@ def has_stuttering(p: Process, u: NameUniverse | None = None):
         raise NotFinite("stuttering detection requires a replication-free term")
     if u is None:
         u = NameUniverse.for_terms(p)
-    l = build_lts_multi([p], u)
-    part = refine(l, WEAK)
-    for i in range(len(l.states)):
-        for a, j in l.edges_from[i]:
-            if a == TAU_ACT and part.same_block(i, j):
-                return True, (l.states[i], l.states[j])
-    return False, None
+    witness = _stuttering_step(BehaviorIndex(u), p)
+    return witness is not None, witness
 
 
-def _witness_json(witness):
-    if witness is None:
+def _stuttering_step(index: BehaviorIndex, p: Process):
+    """The first stuttering step breadth first from `p`, as (source,
+    target), or None when `p`'s class reaches none.
+
+    A state that reaches a stuttering step stutters, and so do all its
+    predecessors, so the walk enters only states whose class stutters and
+    still meets them in the order of a breadth-first graph of `p`."""
+    u = index.universe
+    classes = index._class_of
+    root = state_for(p, u)
+    if not index.stutters(index.class_at(*root)):
         return None
-    return {"state": _render(witness[0], 0), "successor": _render(witness[1], 0)}
+    seen, queue = {root}, [root]
+    for state in queue:
+        weak = index.weak_id(classes[state])
+        for a, q in derive_steps(state, u, index._memo):
+            if a == TAU_ACT and index.weak_id(classes[q]) == weak:
+                return state[0], q[0]
+            if q not in seen and index.stutters(classes[q]):
+                seen.add(q)
+                queue.append(q)
+    return None
 
 
 def stutter_free_representative(term: Process, index: BehaviorIndex, memo: dict):
@@ -217,43 +191,87 @@ def stutter_free_representative(term: Process, index: BehaviorIndex, memo: dict)
     every continuation is normalized in place.
 
     Unverified: `stutter_free` checks the result's weak class and
-    stuttering through `index`.  `memo` maps terms to results.
+    stuttering through `index`.  `memo` maps terms to results.  A term
+    waiting for a part's result waits on an explicit stack with the
+    `_rebuild` generator that asked for it, so deep terms need no deep
+    recursion.
     """
-    got = memo.get(term)
-    if got is not None:
-        return got
-    cid = index.class_of(term)
-    if not index.stutters(cid):
-        result = term
-    elif isinstance(term, Prefixed) and isinstance(term.prefix, Tau):
+    stack: list = []
+    while True:
+        result = memo.get(term)
+        if result is None:
+            cid = index.class_of(term)
+            if index.stutters(cid):
+                stack.append((term, _rebuild(term, cid, index)))
+            else:
+                result = memo[term] = term
+        # Hand the result to the terms waiting for it (a new generator
+        # starts on None) until one asks for another part.
+        while stack:
+            waiting, rebuild = stack[-1]
+            try:
+                term = rebuild.send(result)
+                break
+            except StopIteration as finished:
+                result = finished.value
+            stack.pop()
+            memo[waiting] = result
+        else:
+            return result
+
+
+def _rebuild(term, cid, index):
+    """Componentwise, then head-normal-form rebuild of a stuttering term.
+
+    A generator: it yields each part whose representative it needs and
+    is sent that representative back."""
+    if isinstance(term, Prefixed) and isinstance(term.prefix, Tau):
         # An internal prefix is always weakly equivalent to its continuation.
-        result = stutter_free_representative(term.cont, index, memo)
-    else:
-        result = _rebuild(term, cid, index, memo)
-    memo[term] = result
-    return result
-
-
-def _rebuild(term, cid, index, memo):
-    """Componentwise, then head-normal-form rebuild of a stuttering term."""
-
-    def rep(t):
-        return stutter_free_representative(t, index, memo)
-
+        return (yield term.cont)
     if isinstance(term, Par):
-        term = Par(rep(term.left), rep(term.right))
+        term = Par((yield term.left), (yield term.right))
         cid = index.class_of(term)
     elif isinstance(term, Restrict):
-        term = Restrict(term.binder, rep(term.body))
+        term = Restrict(term.binder, (yield term.body))
         cid = index.class_of(term)
     if not index.stutters(cid):
         return term
-    weak = index.weak_id(cid)
-    summands = _hnf(alpha_canonical(term, avoid=index.universe.known))
+    weak, u = index.weak_id(cid), index.universe
+    summands = _hnf(alpha_canonical(term, avoid=u.known), u)
     for guard, cont in summands:
         if isinstance(guard, Tau) and index.weak_class_of(cont) == weak:
-            return rep(cont)
-    return HeadNormalForm([(guard, rep(cont)) for guard, cont in summands]).to_process()
+            return (yield cont)
+    normalized = []
+    for guard, cont in summands:
+        normalized.append((guard, (yield cont)))
+    return HeadNormalForm(normalized).to_process()
+
+
+def _normalized(p: Process, u: NameUniverse | None):
+    """`stutter_free`'s result and report, and the result's depth by the
+    index that verified it."""
+    if not is_replication_free(p):
+        raise NotFinite("stutter-free normalization requires a replication-free term")
+    if u is None:
+        u = NameUniverse.for_terms(p)
+    index = BehaviorIndex(u)
+    result = stutter_free_representative(alpha_canonical(p, avoid=u.known), index, {})
+    cid = index.class_of(result)
+    equivalent = index.weak_id(cid) == index.weak_class_of(p)
+    still = index.stutters(cid)
+    report = {"equivalent-to-input": equivalent, "stutter-free": not still}
+    if equivalent and not still:
+        return result, report, index.depths[cid]
+    witness = _stuttering_step(index, result) if still else None
+    if witness is not None:
+        report["witness"] = {
+            "state": _render(witness[0], 0), "successor": _render(witness[1], 0)
+        }
+    raise NormalizationIncomplete(
+        "stutter-free normalization could not be verified",
+        report=report,
+        witness=witness,
+    )
 
 
 def stutter_free(p: Process, u: NameUniverse | None = None):
@@ -262,39 +280,13 @@ def stutter_free(p: Process, u: NameUniverse | None = None):
     The construction is `stutter_free_representative` over a fresh
     BehaviorIndex, and the result is verified through that index: it must
     be in the weak class of the input and reach no stuttering step.  On
-    verification failure the report and a stuttering witness travel in
-    NormalizationIncomplete rather than being silently accepted.
+    verification failure the report and a stuttering witness, read from
+    the same index, travel in NormalizationIncomplete rather than being
+    silently accepted.
     """
-    if not is_replication_free(p):
-        raise NotFinite("stutter-free normalization requires a replication-free term")
-    if u is None:
-        u = NameUniverse.for_terms(p)
-    index = BehaviorIndex(u)
-    result = stutter_free_representative(
-        alpha_canonical(p, avoid=u.known), index, {}
-    )
-    cid = index.class_of(result)
-    equivalent = index.weak_id(cid) == index.weak_class_of(p)
-    still = index.stutters(cid)
-    report = {
-        "equivalent-to-input": equivalent,
-        "stutter-free": not still,
-    }
-    if equivalent and not still:
-        return result, report
-    witness = has_stuttering(result, u)[1] if still else None
-    if witness is not None:
-        report["witness"] = _witness_json(witness)
-    raise NormalizationIncomplete(
-        "stutter-free normalization could not be verified",
-        report=report,
-        witness=witness,
-    )
+    return _normalized(p, u)[:2]
 
 
 def weak_depth(p: Process, u: NameUniverse | None = None) -> int:
     """Depth of the stutter-free representative of `p`'s weak class."""
-    if u is None:
-        u = NameUniverse.for_terms(p)
-    representative, _report = stutter_free(p, u)
-    return BehaviorIndex(u).depth_of(representative)
+    return _normalized(p, u)[2]

@@ -278,6 +278,10 @@ def _input_derivatives(t: Process, chan, datum) -> tuple:
 def _derive(t: Process, data, ext) -> list:
     """Raw transition derivation; successors not yet canonicalized.
 
+    Inputs receive each name of `data`, bound outputs extrude `ext`.
+    With `data` None an input stays unopened, `(In(chan, binder), cont)`:
+    read symbolically, the steps are a head normal form (`normalize`).
+
     Post-order on an explicit stack: a node's steps are combined from its
     parts' once those are done, so deeply nested sums, compositions and
     restrictions need no deep recursion.  The first part is followed in
@@ -296,7 +300,10 @@ def _derive(t: Process, data, ext) -> list:
                 done.append([(FreeOut(core.chan, core.datum), t.cont)])
             elif kind is Input:
                 cont, x = t.cont, core.binder
-                done.append([(In(core.chan, y), _instance(cont, y, x)) for y in data])
+                if data is None:
+                    done.append([(In(core.chan, x), cont)])
+                else:
+                    done.append([(In(core.chan, y), _instance(cont, y, x)) for y in data])
             elif core is None:
                 done.append([])
             else:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,49 @@ def test_decompose_nested_10000_deep(term, factors, capsys):
     # stack frame per level.
     assert run(["--json", "decompose", term]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["factors"] == factors
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "tau.a!b." * 1_000 + "0",
+        " + ".join(["tau.a!b.0"] * 2_000),
+        "new z." * 400 + "tau.tau.a!b.0",
+    ],
+    ids=["prefix", "sum", "new"],
+)
+def test_normalize_deep_terms(term, capsys):
+    # Head normal forms, stuttering and the rewrite take no stack frame
+    # per level.  Nested restrictions normalize in quadratic time, so
+    # they stay at 400 levels.
+    assert run(["--json", "normalize", term]) == 0
+    verification = json.loads(capsys.readouterr().out)["results"]["verification"]
+    assert verification == {"equivalent-to-input": True, "stutter-free": True}
+
+
+def test_decompose_chain_verified_without_product(capsys):
+    # 40 factors: exploring their composition would take 2^40 states.
+    t0 = time.perf_counter()
+    assert run(["--json", "decompose", "a!b." * 40 + "0"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["factors"] == ["a!b.0"] * 40
+    assert results["verified_equivalent"] is True
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_decompose_exits_1_when_a_factor_fails_its_check(monkeypatch, capsys):
+    # A printed factor outside the class of the factor it stands for.
+    from piwb import decompose, parse
+
+    found = decompose._decompose
+
+    def misreported(p, mode, index):
+        d, ids = found(p, mode, index)
+        return decompose.Decomposition([parse("b!b.0")], mode), ids
+
+    monkeypatch.setattr(decompose, "_decompose", misreported)
+    assert run(["--json", "decompose", "a!a.0"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["verified_equivalent"] is False
 
 
 def test_verify_upd_pair_nested_10000_deep(capsys):

@@ -17,6 +17,7 @@ from piwb import (
     has_stuttering,
     naive_bisim_oracle,
     parse,
+    pretty,
     strong_bisim,
     stutter_free,
     weak_bisim,
@@ -24,7 +25,7 @@ from piwb import (
 )
 from piwb.lts import build_lts_multi
 from piwb.normalize import BoundOutputPrefix
-from piwb.syntax import TAU_ACT, Tau
+from piwb.syntax import Input, TAU_ACT, Tau
 
 from conftest import processes, tau_pad
 
@@ -258,3 +259,135 @@ def test_weak_depth_examples():
     assert weak_depth(parse("tau.tau.x!y.0")) == 1
     assert weak_depth(parse("0")) == 0
     assert weak_depth(parse("tau.0")) == 0
+
+
+# --------------------------------------------------------------------------
+# Differential references: the hand-written expansion law and the graph
+# route to stuttering, kept here as independent oracles.
+
+
+def _reference_hnf(t):
+    """The expansion law by structural recursion on an alpha-canonical
+    term, with its own communication, restriction and extrusion rules;
+    a bound output extrudes the restricted binder itself."""
+    from piwb.semantics import _resolve_prefix
+    from piwb.syntax import Nil, Output, Prefixed, Restrict, Sum, TAU, substitute
+
+    def comm(senders, receivers):
+        out = []
+        for g, cont in senders:
+            if isinstance(g, (Output, BoundOutputPrefix)):
+                datum = g.datum if isinstance(g, Output) else g.binder
+                for g2, cont2 in receivers:
+                    if isinstance(g2, Input) and g2.chan == g.chan:
+                        merged = Par(cont, substitute(cont2, datum, g2.binder))
+                        if isinstance(g, BoundOutputPrefix):
+                            merged = Restrict(g.binder, merged)
+                        out.append((TAU, merged))
+        return out
+
+    if isinstance(t, Nil):
+        return []
+    if isinstance(t, Prefixed):
+        core = _resolve_prefix(t.prefix)
+        return [] if core is None else [(core, t.cont)]
+    if isinstance(t, Sum):
+        return _reference_hnf(t.left) + _reference_hnf(t.right)
+    if isinstance(t, Par):
+        left, right = _reference_hnf(t.left), _reference_hnf(t.right)
+        out = [(g, Par(cont, t.right)) for g, cont in left]
+        out += [(g, Par(t.left, cont)) for g, cont in right]
+        return out + comm(left, right) + comm(right, left)
+    z = t.binder
+    out = []
+    for g, cont in _reference_hnf(t.body):
+        if isinstance(g, Tau):
+            out.append((g, Restrict(z, cont)))
+        elif g.chan == z:
+            continue
+        elif isinstance(g, Output) and g.datum == z:
+            out.append((BoundOutputPrefix(g.chan, z), cont))
+        else:
+            out.append((g, Restrict(z, cont)))
+    return out
+
+
+def _assert_hnf_matches_reference(p):
+    from piwb.syntax import alpha_canonical, substitute
+
+    got = list(expand_hnf(p))
+    want = _reference_hnf(alpha_canonical(p))
+    # Extruded names differ (a pool name against the restricted binder),
+    # so bound outputs compare by channel, with the reference's
+    # continuation renamed to the extruded name.
+    assert [
+        ("bout", g.chan) if isinstance(g, BoundOutputPrefix) else g for g, _c in got
+    ] == [
+        ("bout", g.chan) if isinstance(g, BoundOutputPrefix) else g for g, _c in want
+    ], pretty(p)
+    for (g, cont), (g2, cont2) in zip(got, want):
+        if isinstance(g, BoundOutputPrefix):
+            cont2 = substitute(cont2, g.binder, g2.binder)
+        u = NameUniverse.for_terms(cont, cont2)
+        assert strong_bisim(cont, cont2, u)[0], (pretty(p), pretty(cont), pretty(cont2))
+
+
+def test_hnf_agrees_with_expansion_law_reference():
+    from piwb.syntax import Output, Prefixed, Restrict
+
+    # Half the terms sit beside a sender of a private name, so that
+    # extrusions and closes are common.
+    gen = TermGen(161, ("a", "b"))
+    closes = 0
+    for i in range(600):
+        p = gen.term(2 + i % 6)
+        if i % 2:
+            sender = Restrict("z", Prefixed(Output("a", "z"), gen.term(2, ("z",))))
+            p = Par(sender, p) if i % 4 == 1 else Par(p, sender)
+        _assert_hnf_matches_reference(p)
+        closes += any(isinstance(c, Restrict) for g, c in expand_hnf(p) if isinstance(g, Tau))
+    assert closes >= 50
+
+
+def test_hnf_keeps_close_between_sibling_binders():
+    # Canonically both restrictions bind v0; the extruded name must not
+    # be the receiver's own restricted name, or the close is lost.
+    p = parse("new z.a!z.0 | new y.a?(x).y!x.0")
+    _assert_hnf_matches_reference(p)
+    h = expand_hnf(p)
+    assert [type(g) for g, _c in h] == [BoundOutputPrefix, Input, Tau]
+    assert strong_bisim(h.to_process(), p)[0]
+
+
+def _reference_has_stuttering(p, u):
+    """A tau edge inside one block of the weak partition of the graph."""
+    from piwb import refine
+
+    l = build_lts_multi([p], u)
+    part = refine(l, WEAK)
+    for i, a, j in l.edges():
+        if a == TAU_ACT and part.same_block(i, j):
+            return True, (l.states[i], l.states[j])
+    return False, None
+
+
+def test_has_stuttering_agrees_with_graph_reference():
+    from piwb.parser import _render
+
+    gen = TermGen(162, ("a", "b", "c"))
+    rng = random.Random(162)
+    terms = []
+    for i in range(1000):
+        p = gen.term(2 + i % 5)
+        terms.append(tau_pad(p, rng) if i % 2 else p)
+    stuttering = 0
+    for input_mode in ("early", "fresh-only"):
+        for p in terms:
+            u = NameUniverse.for_terms(p, input_mode=input_mode)
+            got, want = has_stuttering(p, u), _reference_has_stuttering(p, u)
+            assert got[0] == want[0], (input_mode, pretty(p))
+            if want[1] is not None:
+                stuttering += 1
+                got_text = [_render(t, 0) for t in got[1]]
+                assert got_text == [_render(t, 0) for t in want[1]], (input_mode, pretty(p))
+    assert 300 <= stuttering <= 2 * len(terms) - 300

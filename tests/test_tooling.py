@@ -48,8 +48,10 @@ def test_traced_calls_are_recorded():
         piwb.upd_sweep(["a"], 3, piwb.WEAK)
         assert piwb.weak_bisim(p, piwb.parse("a!b.0"))[0]
         piwb.stutter_free(p)
-        # bisim no longer goes through refine; has_stuttering still does.
         assert piwb.has_stuttering(p)[0]
+        # No verdict path goes through refine any more; it stays the
+        # graph reference of the tests, and the tracer still wraps it.
+        piwb.refine(piwb.build_lts(p), piwb.WEAK)
     values = tracer.layer_values(tracing.PER_LAYER)
     assert values["decompose.class_of.calls"] > 0
     assert values["decompose.classes_interned"] > 0
