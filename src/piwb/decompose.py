@@ -578,12 +578,12 @@ def _observed(index: BehaviorIndex, root: int) -> _Observed:
     One pass in id order: signatures name only smaller ids, so every
     successor's summary is ready when a class reads it."""
     table: list[_Observed] = []
-    for sig in index.signatures[: root + 1]:
+    for cid in range(root + 1):
         pairs: set = set()
         bouts: set = set()
         ins: set = set()
         tau = False
-        for a, c2 in sig:
+        for a, c2 in index.moves(cid):
             if a == TAU_ACT:
                 tau = True
             elif isinstance(a, In):
@@ -666,13 +666,13 @@ def find_split(
     )
     depth_p = index.depths[root]
     if mode == STRONG:
-        moves = index.signatures[root]
+        moves = index.moves(root)
     else:
         # Weak answers may absorb internal steps, so a factor's initial
         # visible action only needs to be weakly initial in p, a visible
         # move of p's weak record; internal steps can always be answered
         # by standing still.
-        moves = index._weak_sigs[index.weak_id(root)][0] | {(TAU_ACT, None)}
+        moves = (*index.weak_moves(index.weak_id(root)), (TAU_ACT, None))
     allowed_initials = frozenset(_label(a) for a, _c in moves)
 
     candidates: dict[int, list[Process]] = {}
@@ -777,14 +777,14 @@ def _summarize(index: BehaviorIndex, mode: str, table: list) -> list:
     initial actions (strong), or the longest visible trace and the weakly
     initial visible actions (weak).  Signatures name only smaller ids."""
     for cid in range(len(table), len(index.signatures)):
-        sig = index.signatures[cid]
+        moves = list(index.moves(cid))
         if mode == STRONG:
-            table.append((index.depths[cid], frozenset(a for a, _c in sig)))
+            table.append((index.depths[cid], frozenset(a for a, _c in moves)))
             continue
         labels: set = set()
-        for a, c in sig:
+        for a, c in moves:
             labels.update(table[c][1] if a == TAU_ACT else (a,))
-        vis = max(((a != TAU_ACT) + table[c][0] for a, c in sig), default=0)
+        vis = max(((a != TAU_ACT) + table[c][0] for a, c in moves), default=0)
         table.append((vis, frozenset(labels)))
     return table
 

@@ -9,6 +9,17 @@ visible challenges may be answered through internal steps, and a tau
 challenge may be answered by staying put.  The index also records which
 classes can reach a stuttering step.
 
+The index stores every set it interns packed: a move (action, id)
+becomes the one int `action id << 40 | id`, where the action id is small
+and per index (tau is 0), and a set of moves becomes the sorted tuple of
+its distinct ints.  A frozenset costs at least 216 bytes even when empty
+and a retained `(action, id)` tuple 56 more per move; a sweep interns
+tens of thousands of mostly tiny sets, so these made up most of the
+index's memory.  The packing is injective while ids stay below 2**40,
+and the index raises `TooLarge` rather than allocate that id (far beyond
+any memory).  `BehaviorIndex.moves` and `weak_moves` decode the sets;
+readers outside this module go through them.
+
 `bisim` explores both terms once through one fresh index under a shared
 name universe, both entered at the same pool cursor so input
 instantiations align, and compares their class ids; the witness
@@ -45,6 +56,9 @@ from .syntax import (
 STRONG = "strong"
 WEAK = "weak"
 
+# Width of the id field of a packed move; the action id sits above it.
+_CID_BITS = 40
+
 
 class Partition:
     """Disjoint blocks of states whose induced relation is a bisimulation.
@@ -78,16 +92,49 @@ class Partition:
         }
 
 
+class _ActionIds(dict):
+    """Action -> small id, assigned on first sight; `actions` and
+    `weights` (its `action_weight`) are indexed by id.  Tau is id 0, so a
+    packed tau move equals its successor id and sorts first."""
+
+    __slots__ = ("actions", "weights")
+
+    def __init__(self):
+        super().__init__()
+        self.actions: list = []
+        self.weights: list[int] = []
+        self[TAU_ACT]  # id 0
+
+    def __missing__(self, a) -> int:
+        aid = self[a] = len(self.actions)
+        self.actions.append(a)
+        self.weights.append(action_weight(a))
+        return aid
+
+
+def _decoded(keys, actions):
+    """(action, id) pairs of the packed moves `keys`."""
+    bits = _CID_BITS
+    mask = (1 << bits) - 1
+    for k in keys:
+        yield actions[k >> bits], k & mask
+
+
 class BehaviorIndex:
     """Integer behaviour-class ids for finite terms under one universe.
 
     Transition graphs of replication-free terms are acyclic, so strong
     bisimilarity admits a bottom-up canonical form: two states are
-    equivalent iff the frozensets {(action, class of successor)} coincide.
+    equivalent iff the sets {(action, class of successor)} coincide.
     Interning those sets gives the strong class id.  The weak layer
     saturates the strong quotient (a DAG, since every signature references
     only earlier ids) and interns each class's weak record, read off its
     successors' records.
+
+    Signatures and both halves of weak records are sorted tuples of ints,
+    one per move, packed as in the module docstring; `moves` and
+    `weak_moves` decode them.  Class ids stop below 2**40, and weak ids
+    with them (there are never more weak records than classes).
     """
 
     def __init__(self, universe: NameUniverse):
@@ -95,8 +142,9 @@ class BehaviorIndex:
         self._class_of: dict[Process, int] = {}
         # Components, pairs and inputs of compositions, for `derive_steps`.
         self._memo = ExplorationMemo(universe)
-        self._by_signature: dict[frozenset, int] = {}
-        self.signatures: list[frozenset] = []
+        self._action_ids = _ActionIds()
+        self._by_signature: dict[tuple, int] = {}
+        self.signatures: list[tuple[int, ...]] = []
         self.depths: list[int] = []
         # Weak layer, indexed by strong class id and filled on demand.
         self._weak: list[int] = []
@@ -135,7 +183,7 @@ class BehaviorIndex:
         if got is not None:
             return got
         steps = derive_steps(root, u, self._memo)
-        return self.intern(frozenset((a, self._explore(q)) for a, q in steps))
+        return self.intern((a, self._explore(q)) for a, q in steps)
 
     def _explore(self, root) -> int:
         class_of = self._class_of
@@ -160,23 +208,42 @@ class BehaviorIndex:
                     break
             else:
                 stack.pop()
-                class_of[state] = self.intern(
-                    frozenset((a, class_of[q]) for a, q in steps)
-                )
+                class_of[state] = self.intern((a, class_of[q]) for a, q in steps)
         return class_of[root]
 
-    def intern(self, sig: frozenset) -> int:
-        """Class id of a state whose moves are `sig`, a set of (action,
-        successor class id) pairs; every successor id must already exist."""
+    def intern(self, moves) -> int:
+        """Class id of a state whose moves are the (action, successor class
+        id) pairs `moves`, repeats allowed; every successor id must
+        already exist.  Raises TooLarge rather than allocate id 2**40."""
+        bits = _CID_BITS
+        aids = self._action_ids
+        sig = tuple(sorted({aids[a] << bits | c for a, c in moves}))
         cid = self._by_signature.get(sig)
         if cid is None:
             cid = len(self.signatures)
+            if cid >> bits:
+                raise TooLarge(f"more than 2**{bits} behaviour classes")
             self._by_signature[sig] = cid
             self.signatures.append(sig)
-            self.depths.append(
-                max((action_weight(a) + self.depths[c] for a, c in sig), default=0)
+            mask = (1 << bits) - 1
+            weights, depths = aids.weights, self.depths
+            depths.append(
+                max((weights[k >> bits] + depths[k & mask] for k in sig), default=0)
             )
         return cid
+
+    def moves(self, cid: int):
+        """The moves of class `cid`: its (action, successor class id) pairs."""
+        return _decoded(self.signatures[cid], self._action_ids.actions)
+
+    def weak_moves(self, wid: int):
+        """The weak moves of weak class `wid`: (a, weak id) for each
+        visible action a it can do through internal steps, then (tau, t)
+        for each weak class t of its proper tau-descendants."""
+        vis, proper = self._weak_sigs[wid]
+        yield from _decoded(vis, self._action_ids.actions)
+        for t in proper:
+            yield TAU_ACT, t
 
     def depth_of(self, term: Process) -> int:
         return self.depths[self.class_of(term)]
@@ -186,46 +253,55 @@ class BehaviorIndex:
     # Signature edges always point to strictly smaller class ids, so the
     # strong quotient is a DAG ordered by id and weak classes extend
     # incrementally.  A class's weak record is (vis, proper): the weak
-    # moves (a, weak id) it can make through internal steps, and the weak
-    # ids of its proper tau-descendants.  It is read off the successors'
-    # records, since a successor's weak id together with its record's
-    # `proper` is exactly the weak image of its tau-closure.  A class
-    # either collapses into the weak class of a proper tau-descendant
-    # (its remaining behaviour adds nothing -- the stuttering case) or is
-    # the unique class with its record, interned on first sight.
+    # moves (a, weak id) it can make through internal steps, packed, and
+    # the weak ids of its proper tau-descendants, both sorted.  It is read
+    # off the successors' records, since a successor's weak id together
+    # with its record's `proper` is exactly the weak image of its
+    # tau-closure.  A class either collapses into the weak class c of a
+    # proper tau-descendant, when c's record is (vis, proper - {c}) (its
+    # remaining behaviour adds nothing -- the stuttering case), or is the
+    # unique class with its record, interned on first sight.  A record's
+    # `proper` holds only ids older than its own, so only the largest id
+    # of `proper` can pass that test: every other c is older than it.
 
     def _ensure_weak(self):
-        weak, records = self._weak, self._weak_sigs
-        for cid in range(len(weak), len(self.signatures)):
-            sig = self.signatures[cid]
+        bits = _CID_BITS
+        mask = (1 << bits) - 1
+        weak, records, reach = self._weak, self._weak_sigs, self._stutter_reach
+        signatures, interned = self.signatures, self._weak_intern
+        for cid in range(len(weak), len(signatures)):
+            sig = signatures[cid]
             vis, proper = set(), set()
-            for a, c2 in sig:
+            for k in sig:
+                c2 = k & mask
                 w = weak[c2]
                 vis2, proper2 = records[w]
-                if a == TAU_ACT:
+                if k == c2:  # action id 0: tau
                     proper.add(w)
-                    proper |= proper2
-                    vis |= vis2
+                    proper.update(proper2)
+                    vis.update(vis2)
                 else:
-                    vis.add((a, w))
-                    vis.update((a, t) for t in proper2)
-            vis, proper = frozenset(vis), frozenset(proper)
+                    act = k - c2
+                    vis.add(act | w)
+                    if proper2:
+                        vis.update([act | t for t in proper2])
+            vis, proper = tuple(sorted(vis)), tuple(sorted(proper))
             wid = None
-            for c in proper:
-                if records[c] == (vis, proper - {c}):
-                    wid = c
-                    break
+            if proper:
+                top_vis, top_proper = records[proper[-1]]
+                if top_vis == vis and top_proper == proper[:-1]:
+                    wid = proper[-1]
             if wid is None:
                 key = (vis, proper)
-                wid = self._weak_intern.get(key)
+                wid = interned.get(key)
                 if wid is None:
                     wid = len(records)
                     records.append(key)
-                    self._weak_intern[key] = wid
+                    interned[key] = wid
             weak.append(wid)
-            self._stutter_reach.append(
-                any(a == TAU_ACT and weak[c2] == wid for a, c2 in sig)
-                or any(self._stutter_reach[c2] for _a, c2 in sig)
+            reach.append(
+                any(weak[k] == wid for k in sig if k <= mask)
+                or any(reach[k & mask] for k in sig)
             )
 
     def weak_id(self, cid: int) -> int:
@@ -264,7 +340,7 @@ def refine(l: Lts, mode: str) -> Partition:
     index = BehaviorIndex(l.universe)
     ids = [0] * len(l.states)
     for i in reversed(_topological_order(l)):
-        ids[i] = index.intern(frozenset((a, ids[j]) for a, j in l.edges_from[i]))
+        ids[i] = index.intern((a, ids[j]) for a, j in l.edges_from[i])
     if mode == WEAK:
         ids = [index.weak_id(c) for c in ids]
     return Partition(l.states, mode, ids)

@@ -43,7 +43,8 @@ class Inconclusive(PiwbError):
 
 
 class TooLarge(PiwbError):
-    """Instance exceeds the configured bound of the naive oracle."""
+    """Instance exceeds a bound: the naive oracle's configured pairs, or
+    the ids a behaviour index can pack."""
 
 
 class NormalizationIncomplete(PiwbError):

@@ -221,10 +221,10 @@ def test_criterion_8_stutter_normalization():
     )
 
 
-# Peak memory budget of the two size-6 sweeps, in MB: the heavier (weak,
-# fresh-only) peaked at 560 MB alone and at 597 MB in this test, on Linux
-# under Python 3.11.
-SWEEP_PEAK_MB = 750
+# Peak memory budget of the two size-6 sweeps, in MB: with signatures and
+# weak records stored as packed int tuples this test peaked at 435 MB
+# (599 MB with frozensets), on a 2-core Linux machine under Python 3.11.
+SWEEP_PEAK_MB = 520
 
 
 def _peak_rss_mb() -> float:
