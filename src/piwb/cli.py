@@ -28,7 +28,7 @@ from .equivalence import STRONG, WEAK, bisim
 from .errors import Inconclusive, PiwbError, UnknownDemo
 from .lts import build_lts, build_lts_bounded, depth, norm
 from .normalize import has_stuttering, stutter_free
-from .parser import parse, pretty
+from .parser import _KEYWORDS, _TOKEN_RE, parse, pretty
 from .semantics import NameUniverse
 from .syntax import (
     Par,
@@ -158,7 +158,13 @@ def cmd_decompose(args, t0):
 
 def cmd_verify_upd(args, t0):
     if args.sweep:
-        names = args.names.split(",") if args.names else ["a", "b"]
+        names = ["a", "b"] if args.names is None else args.names.split(",")
+        for n in names:
+            token = _TOKEN_RE.fullmatch(n)
+            if token is None or token.lastgroup != "name" or n in _KEYWORDS:
+                raise UsageError(f"--names: {n!r} is not a name")
+        if args.max_size < 0:
+            raise UsageError(f"--max-size must not be negative, got {args.max_size}")
         report = upd_sweep(names, args.max_size, args.mode)
         out = _report(args, "verify-upd", [], report.to_json_dict(), t0)
         out["universe"]["inputs"] = report.input_mode

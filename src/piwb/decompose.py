@@ -40,7 +40,6 @@ from .semantics import (
     state_for,
 )
 from .syntax import (
-    FreeOut,
     In,
     Input,
     Match,
@@ -508,7 +507,7 @@ def _label(a) -> tuple:
     """Comparable initial-action label; binder-valued parts abstracted."""
     if a == TAU_ACT:
         return ("t",)
-    if isinstance(a, FreeOut):
+    if isinstance(a, Output):
         return ("o", a.chan, a.datum)
     if isinstance(a, In):
         return ("i", a.chan)
@@ -588,7 +587,7 @@ def _observed(index: BehaviorIndex, root: int) -> _Observed:
                 tau = True
             elif isinstance(a, In):
                 ins.add(a.chan)
-            elif isinstance(a, FreeOut):
+            elif isinstance(a, Output):
                 pairs.add((a.chan, a.datum))
             else:
                 bouts.add(a.chan)

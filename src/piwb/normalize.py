@@ -2,12 +2,13 @@
 
 A head normal form is a sum of prefixed continuations that is strongly
 bisimilar to its source term: the term's own steps, as `semantics._derive`
-derives them with inputs left unopened, each action read back as a guard.
-Bound-output summands (output of a hidden name) get their own prefix
-class since the two-level grammar cannot put a restriction directly under
-a sum; `HeadNormalForm.to_process` still produces the operationally
-faithful term, which is for equivalence checking and display rather than
-re-parsing.
+derives them with inputs left unopened.  Labels are prefixes, so each
+label is its guard, and an unopened input is read back as its `Input`
+prefix.  A bound-output summand (output of a hidden name) is guarded by
+its `BoundOut` label, since the two-level grammar cannot put a
+restriction directly under a sum; `HeadNormalForm.to_process` still
+produces the operationally faithful term, which is for equivalence
+checking and display rather than re-parsing.
 
 A stuttering transition is an internal step between weakly bisimilar
 states.  Every verdict here reads one `BehaviorIndex`: its weak classes
@@ -29,7 +30,7 @@ from .parser import _render
 from .semantics import NameUniverse, _derive, derive_steps, start_index, state_for
 from .syntax import (
     BoundOut,
-    FreeOut,
+    In,
     Input,
     NIL,
     Output,
@@ -38,7 +39,6 @@ from .syntax import (
     Process,
     Restrict,
     Sum,
-    TAU,
     TAU_ACT,
     Tau,
     alpha_canonical,
@@ -46,28 +46,8 @@ from .syntax import (
 )
 
 
-class BoundOutputPrefix:
-    """Output of the private name `binder` on `chan`; binds the continuation."""
-
-    __slots__ = ("chan", "binder", "_hash")
-
-    def __init__(self, chan, binder):
-        object.__setattr__(self, "chan", chan)
-        object.__setattr__(self, "binder", binder)
-        object.__setattr__(self, "_hash", hash(("bout-prefix", chan, binder)))
-
-    def __eq__(self, other):
-        return (
-            type(other) is BoundOutputPrefix
-            and self.chan == other.chan
-            and self.binder == other.binder
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"BoundOutputPrefix({self.chan!r}, {self.binder!r})"
+# Older name of the bound-output guard of a head normal form.
+BoundOutputPrefix = BoundOut
 
 
 class HeadNormalForm:
@@ -93,7 +73,7 @@ class HeadNormalForm:
         """
         parts = []
         for guard, cont in self.summands:
-            if isinstance(guard, BoundOutputPrefix):
+            if isinstance(guard, BoundOut):
                 parts.append(
                     Restrict(guard.binder, Prefixed(Output(guard.chan, guard.binder), cont))
                 )
@@ -105,22 +85,17 @@ class HeadNormalForm:
 def _hnf(t: Process, u: NameUniverse) -> list:
     """Summands of the head normal form of the alpha-canonical term `t`:
     its derivation under `u` read symbolically (`semantics._derive` with
-    inputs left unopened), each step's action turned back into a guard.
+    inputs left unopened).  A label is its own guard, except that an
+    unopened `In(chan, binder)` becomes the `Input` prefix it came from.
 
     A bound output extrudes the next pool name of `u`, never the
     restricted binder: canonical siblings share binder names, and a
     receiver under a restriction of the extruded name would not take it.
     """
-    out = []
-    for a, cont in _derive(t, None, u.row(start_index(t, u))[1]):
-        if a == TAU_ACT:
-            guard = TAU
-        elif type(a) is BoundOut:
-            guard = BoundOutputPrefix(a.chan, a.binder)
-        else:
-            guard = (Output if type(a) is FreeOut else Input)(a.chan, a.datum)
-        out.append((guard, cont))
-    return out
+    return [
+        (Input(a.chan, a.datum) if type(a) is In else a, cont)
+        for a, cont in _derive(t, None, u.row(start_index(t, u))[1])
+    ]
 
 
 def expand_hnf(p: Process) -> HeadNormalForm:

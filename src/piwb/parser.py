@@ -24,10 +24,8 @@ from .errors import ParseError
 from .syntax import (
     NIL,
     TAU,
-    TAU_ACT,
     Action,
     BoundOut,
-    FreeOut,
     In,
     Input,
     Match,
@@ -39,6 +37,7 @@ from .syntax import (
     Repl,
     Restrict,
     Sum,
+    Tau,
     alpha_canonical,
     validate,
 )
@@ -313,12 +312,10 @@ def pretty(p: Process) -> str:
 
 
 def action_text(a: Action) -> str:
-    if isinstance(a, FreeOut):
-        return f"{a.chan}!{a.datum}"
     if isinstance(a, BoundOut):
         return f"{a.chan}!({a.binder})"
     if isinstance(a, In):
         return f"{a.chan}?{a.datum}"
-    if a == TAU_ACT:
-        return "tau"
+    if isinstance(a, (Output, Tau)):
+        return _prefix_text(a)
     raise TypeError(f"not an action: {a!r}")

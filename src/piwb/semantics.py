@@ -54,13 +54,18 @@ with equal known names and input modes are one object while any holder
 lives (see `NameUniverse`), so analyses over few name sets share their
 pool rows.
 
-Actions are interned in a table of this module.  The transition cache
-`_cache` behind `_steps_cached` serves only the bounded exploration of
-replicated terms, strong `bisimilar_to_nil` and `transitions`; graph
-builds and class indices derive each state once themselves and call
-`derive_steps`.  All of these are fast paths only: equality stays
-structural, and `clear_transition_cache` empties the transition cache
-and the three tables together.
+A label is the prefix that fired wherever the two coincide (see
+`syntax`).  Receptions -- a component's continuations after receiving
+one datum on one channel, for communications and the input table --
+come from the one derivation walk: `_derive` with only inputs on that
+channel firing.
+
+The transition cache `_cache` behind `_steps_cached` serves only the
+bounded exploration of replicated terms, strong `bisimilar_to_nil` and
+`transitions`; graph builds and class indices derive each state once
+themselves and call `derive_steps`.  All of these are fast paths only:
+equality stays structural, and `clear_transition_cache` empties the
+transition cache and the three tables together.
 
 A state's steps are distinct and listed in derivation order, which the
 term's structure alone fixes (left before right, each component's own
@@ -84,7 +89,6 @@ import weakref
 from .syntax import (
     Action,
     BoundOut,
-    FreeOut,
     In,
     Input,
     Match,
@@ -223,64 +227,22 @@ def _instance(cont: Process, y, x) -> Process:
 
 
 def _input_derivatives(t: Process, chan, datum) -> tuple:
-    """All continuations of `t` after receiving `datum` on `chan`.
-
-    Post-order on an explicit stack, as in `_derive`."""
-    done: list[tuple] = []
-    todo: list = []
-    while True:
-        cls = type(t)
-        if cls is Prefixed:
-            core = t.prefix
-            if type(core) is Match:
-                core = _resolve_prefix(core)
-            if type(core) is Input and core.chan == chan:
-                done.append((_instance(t.cont, datum, core.binder),))
-            else:
-                done.append(())
-        elif cls is Sum or cls is Par:
-            todo += ((t,), t.right)
-            t = t.left
-            continue
-        elif cls is Restrict or cls is Repl:
-            if cls is Repl or (t.binder != chan and t.binder != datum):
-                todo.append((t,))
-                t = t.body
-                continue
-            done.append(())
-        elif cls is Nil:
-            done.append(())
-        else:
-            raise TypeError(f"not a process: {t!r}")
-        # Combine every node whose parts are now all done.
-        while True:
-            if not todo:
-                return done[0]
-            t = todo.pop()
-            if type(t) is not tuple:
-                break
-            t = t[0]
-            cls = type(t)
-            if cls is Sum:
-                right = done.pop()
-                done[-1] += right
-            elif cls is Par:
-                right = done.pop()
-                done[-1] = tuple(Par(l2, t.right) for l2 in done[-1]) + tuple(
-                    Par(t.left, r2) for r2 in right
-                )
-            elif cls is Restrict:
-                done[-1] = tuple(Restrict(t.binder, b2) for b2 in done[-1])
-            else:
-                done[-1] = tuple(Par(b2, t) for b2 in done[-1])
+    """All continuations of `t` after receiving `datum` on `chan`: its
+    derivation with only inputs on `chan` firing, each receiving `datum`."""
+    return tuple(q for _a, q in _derive(t, (datum,), None, chan))
 
 
-def _derive(t: Process, data, ext) -> list:
+def _derive(t: Process, data, ext, _only=None) -> list:
     """Raw transition derivation; successors not yet canonicalized.
 
     Inputs receive each name of `data`, bound outputs extrude `ext`.
     With `data` None an input stays unopened, `(In(chan, binder), cont)`:
     read symbolically, the steps are a head normal form (`normalize`).
+    A free output is labelled with its resolved `Output` prefix, every
+    internal step with the one `TAU_ACT`.  With a channel `_only`, only
+    inputs on it fire: the steps are receptions (`_input_derivatives`),
+    which restrictions of the channel or datum block and `|` and `!`
+    lift.
 
     Post-order on an explicit stack: a node's steps are combined from its
     parts' once those are done, so deeply nested sums, compositions and
@@ -296,8 +258,10 @@ def _derive(t: Process, data, ext) -> list:
             if type(core) is Match:
                 core = _resolve_prefix(core)
             kind = type(core)
-            if kind is Output:
-                done.append([(FreeOut(core.chan, core.datum), t.cont)])
+            if _only is not None and (kind is not Input or core.chan != _only):
+                done.append([])
+            elif kind is Output:
+                done.append([(core, t.cont)])
             elif kind is Input:
                 cont, x = t.cont, core.binder
                 if data is None:
@@ -353,14 +317,14 @@ def _par_steps(t: Par, lefts: list, rights: list, pair, receive) -> list:
     out = [(a, pair(p2, t.right)) for a, p2 in lefts]
     out += [(a, pair(t.left, q2)) for a, q2 in rights]
     for a, p2 in lefts:
-        if type(a) is FreeOut:
+        if type(a) is Output:
             for q2 in receive(t.right, a.chan, a.datum):
                 out.append((TAU_ACT, pair(p2, q2)))
         elif type(a) is BoundOut:
             for q2 in receive(t.right, a.chan, a.binder):
                 out.append((TAU_ACT, Restrict(a.binder, Par(p2, q2))))
     for a, q2 in rights:
-        if type(a) is FreeOut:
+        if type(a) is Output:
             for p2 in receive(t.left, a.chan, a.datum):
                 out.append((TAU_ACT, pair(p2, q2)))
         elif type(a) is BoundOut:
@@ -379,7 +343,7 @@ def _restrict_steps(z, body_steps: list, ext) -> list:
             out.append((a, Restrict(z, b2)))
         elif a.chan == z:
             continue
-        elif type(a) is FreeOut and a.datum == z:
+        elif type(a) is Output and a.datum == z:
             out.append((BoundOut(a.chan, ext), _instance(b2, ext, z)))
         elif (a.binder if type(a) is BoundOut else a.datum) != z:
             out.append((a, Restrict(z, b2)))
@@ -391,7 +355,7 @@ def _repl_steps(t: Repl, base: list) -> list:
     communicate."""
     out = [(a, Par(p2, t)) for a, p2 in base]
     for a, p2 in base:
-        if type(a) is FreeOut:
+        if type(a) is Output:
             for p3 in _input_derivatives(t.body, a.chan, a.datum):
                 out.append((TAU_ACT, Par(Par(p2, p3), t)))
         elif type(a) is BoundOut:
@@ -410,15 +374,11 @@ def start_index(p: Process, u: NameUniverse) -> int:
     return top + 1 - sum(1 for n in u._skipped if n < top)
 
 
-_actions: dict = {}
-
-
 def _canonical_steps(steps: list, avoid) -> list:
-    """`steps` with every action and successor interned, successors
-    alpha-canonical, each pair kept at its first occurrence."""
+    """`steps` with every successor alpha-canonical and interned, each
+    pair kept at its first occurrence."""
     return list(dict.fromkeys(
-        (_actions.setdefault(a, a), hashcons(alpha_canonical(q, avoid=avoid)))
-        for a, q in steps
+        (a, hashcons(alpha_canonical(q, avoid=avoid))) for a, q in steps
     ))
 
 
@@ -471,8 +431,8 @@ def _composed_steps(t: Par, consumed: int, u: NameUniverse, memo: ExplorationMem
     an explicit stack, and a composed component is entered in the memo
     once both of its parts are.  Moves and free communications take their
     successors from the pair table, which are final; only closes, `new
-    w.(p' | q')`, are canonicalized here.  Every action is a component's,
-    interned with its steps, or `TAU_ACT`.  Canonical or not, a component
+    w.(p' | q')`, are canonicalized here.  Every action is a component's
+    or `TAU_ACT`.  Canonical or not, a component
     successor is alpha-equivalent to the raw one, so every successor
     built from it canonicalizes to the same term as in a whole
     derivation, and dropping repeated component steps drops only steps
@@ -516,7 +476,7 @@ def derive_steps(
     order, the same under every hash seed; successors are
     alpha-canonical, interned with `hashcons` (so they share every
     unchanged subterm with `state` and with each other), and carry the
-    updated pool cursor.  Actions are interned too.
+    updated pool cursor.
 
     `memo`, owned by one exploration under `u`, derives compositions
     from their components (see `_composed_steps`), so a composition
@@ -542,11 +502,10 @@ _cache: dict = {}
 
 def clear_transition_cache():
     """Release everything derivation retains: the transition cache, the
-    instantiation table, and the action and `hashcons` tables that
-    `derive_steps` fills."""
+    instantiation table, and the `hashcons` tables that `derive_steps`
+    fills."""
     _cache.clear()
     _instances.clear()
-    _actions.clear()
     clear_hashcons()
 
 

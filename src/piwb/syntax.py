@@ -1,4 +1,12 @@
-"""Process terms, actions, name binding, and capture-avoiding substitution.
+"""Process terms, transition labels, name binding, and capture-avoiding
+substitution.
+
+A transition label is the prefix that fired wherever the two coincide:
+a free output is labelled with its `Output` prefix and every internal
+step with `TAU`.  Only an early input, which names the received datum,
+and a bound output, which names the extruded binder, have label classes
+of their own (`In`, `BoundOut`).  `FreeOut`, `TauAction` and `TAU_ACT`
+are older names of `Output`, `Tau` and `TAU`.
 
 Terms are immutable and hashable; all operations here are pure.  Bound
 names are ordinary strings: alpha_canonical renames every binder into the
@@ -276,43 +284,13 @@ class Repl(Process):
 
 
 # --------------------------------------------------------------------------
-# Actions (transition labels)
+# Transition labels (see the module docstring)
 
 
-class Action:
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
-
-
-class FreeOut(Action):
-    """Output of the free name `datum` on channel `chan`."""
-
-    __slots__ = ("chan", "datum")
-
-    def __init__(self, chan: Name, datum: Name):
-        object.__setattr__(self, "chan", chan)
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "_hash", hash(("afo", chan, datum)))
-
-    def __eq__(self, other):
-        return (
-            type(other) is FreeOut
-            and self.chan == other.chan
-            and self.datum == other.datum
-        )
-
-    __hash__ = Action.__hash__
-
-    def __repr__(self):
-        return f"FreeOut({self.chan!r}, {self.datum!r})"
-
-
-class BoundOut(Action):
+class BoundOut:
     """Output of a private name on `chan`; `binder` is the extruded name."""
 
-    __slots__ = ("chan", "binder")
+    __slots__ = ("chan", "binder", "_hash")
 
     def __init__(self, chan: Name, binder: Name):
         object.__setattr__(self, "chan", chan)
@@ -326,16 +304,17 @@ class BoundOut(Action):
             and self.binder == other.binder
         )
 
-    __hash__ = Action.__hash__
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"BoundOut({self.chan!r}, {self.binder!r})"
 
 
-class In(Action):
+class In:
     """Reception of the concrete name `datum` on channel `chan`."""
 
-    __slots__ = ("chan", "datum")
+    __slots__ = ("chan", "datum", "_hash")
 
     def __init__(self, chan: Name, datum: Name):
         object.__setattr__(self, "chan", chan)
@@ -349,28 +328,20 @@ class In(Action):
             and self.datum == other.datum
         )
 
-    __hash__ = Action.__hash__
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"In({self.chan!r}, {self.datum!r})"
 
 
-class TauAction(Action):
-    __slots__ = ()
+# `|`, not `typing.Union`: Union caches its arguments, so every fresh
+# import of this module would stay alive.
+Action = Output | Tau | In | BoundOut
 
-    def __init__(self):
-        object.__setattr__(self, "_hash", hash("tau-action"))
-
-    def __eq__(self, other):
-        return type(other) is TauAction
-
-    __hash__ = Action.__hash__
-
-    def __repr__(self):
-        return "TauAction"
-
-
-TAU_ACT = TauAction()
+FreeOut = Output
+TauAction = Tau
+TAU_ACT = TAU
 
 
 # --------------------------------------------------------------------------

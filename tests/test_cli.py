@@ -6,8 +6,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
-from piwb import cli
+from piwb import cli, pretty
 from piwb.cli import run
 from piwb.errors import (
     Aborted,
@@ -16,6 +18,8 @@ from piwb.errors import (
     ParseError,
     PiwbError,
 )
+
+from conftest import processes
 
 
 def test_norm_command(capsys):
@@ -128,6 +132,75 @@ def test_verify_upd_sweep_command(capsys):
         # The report names the discipline the sweep ran in.
         assert payload["universe"]["inputs"] == inputs
         assert payload["results"]["universe"]["inputs"] == inputs
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-size", "-1"],
+    ["--names", ""],
+    ["--names", ","],
+    ["--names", "a,,b"],
+    ["--names", "W0"],
+    ["--names", "a,new"],
+    ["--names", "tau"],
+    ["--names", "0"],
+])
+def test_verify_upd_sweep_rejects_bad_arguments(args, capsys):
+    # A negative size or a name the parser cannot produce is a usage
+    # error, not a traceback and not a sweep over names no term has.
+    assert run(["verify-upd", "--sweep", "--max-size", "2", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Tiny terms only: `bisim` explores a whole product with no state budget.
+# Each choice is mostly valid, so most runs get past argument checking.
+_TERMS = st.one_of(
+    st.builds(pretty, processes(max_size=4, names=("a", "b"))),
+    st.sampled_from(["0", "!a!b.0", "a!", "", "[a=b]tau.0", "new z.a!z.0 | a?(y).y!b.0"]),
+)
+_NAMES = st.sampled_from(["a", "b", "x_1", "v0", "w0", "", "W0", "new", "tau", "0"])
+_OPERANDS = {"bisim": 2, "verify-upd": 2, "demo": 0, "nope": 1}
+
+
+@st.composite
+def _argvs(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.booleans()):
+        argv += ["--inputs", draw(st.sampled_from(["early", "fresh-only", "fresh-only", "late"]))]
+    if draw(st.booleans()):
+        argv += ["--max-weight", str(draw(st.integers(-3, 6)))]
+    sub = draw(st.sampled_from([
+        "parse", "lts", "depth", "norm", "stutter-check", "normalize", "decompose",
+        "bisim", "bisim", "verify-upd", "verify-upd", "demo", "nope",
+    ]))
+    argv.append(sub)
+    if sub in ("bisim", "decompose", "verify-upd") and draw(st.booleans()):
+        argv += ["--mode", draw(st.sampled_from(["strong", "weak", "weak", "both"]))]
+    if sub == "bisim" and draw(st.booleans()):
+        argv.append("--witness")
+    if sub == "lts" and draw(st.booleans()):
+        argv.append("--dot")
+    if sub == "demo":
+        argv.append(draw(st.sampled_from(["tau-chain", "norm-gap", "nope"])))
+    elif sub == "verify-upd" and draw(st.booleans()):
+        argv += ["--sweep", "--max-size", str(draw(st.integers(-2, 3)))]
+        if draw(st.booleans()):
+            argv += ["--names", ",".join(draw(st.lists(_NAMES, max_size=3)))]
+    else:
+        n = _OPERANDS.get(sub, 1)
+        argv += [draw(_TERMS) for _ in range(draw(st.sampled_from([n, n, n, n - 1, n + 1])))]
+    return argv
+
+
+@example(["verify-upd", "--sweep", "--max-size", "-1"])
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_fuzzed_arguments_exit_with_a_documented_code(argv):
+    # Whatever the arguments, the CLI answers with an exit code of the
+    # README and raises nothing.
+    assert run(argv) in (0, 1, 2, 3), argv
 
 
 def test_adjacent_restrictions_decompose_promptly():

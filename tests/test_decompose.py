@@ -580,7 +580,7 @@ def test_sweep_keeps_no_max_size_term(size, mode, inputs, monkeypatch):
 def test_sweep_leaves_no_tables_behind():
     upd_sweep(["a", "b"], 3, STRONG)
     assert not syntax._hashcons_table and not syntax._fn_table
-    assert not semantics._instances and not semantics._actions
+    assert not semantics._instances
     assert not semantics._cache
 
 

@@ -2,6 +2,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
+import piwb
 from piwb import (
     NIL,
     STRONG,
@@ -11,6 +12,7 @@ from piwb import (
     Par,
     Prefixed,
     TermGen,
+    action_text,
     alpha_equivalent,
     bisim,
     free_names,
@@ -26,15 +28,33 @@ from piwb.decompose import TermUniverse
 from piwb.equivalence import BehaviorIndex
 from piwb.semantics import (
     ExplorationMemo,
-    _actions,
+    _input_derivatives,
+    _instance,
     _instances,
+    _resolve_prefix,
     _universes,
     clear_transition_cache,
     derive_steps,
     start_index,
     state_for,
 )
-from piwb.syntax import BoundOut, FreeOut, In, TAU_ACT, clear_hashcons, hashcons
+from piwb.syntax import (
+    BoundOut,
+    FreeOut,
+    In,
+    Input,
+    Match,
+    Nil,
+    Output,
+    Repl,
+    Restrict,
+    Sum,
+    TAU_ACT,
+    Tau,
+    TauAction,
+    clear_hashcons,
+    hashcons,
+)
 
 from conftest import level_canonical, process_pairs, processes
 
@@ -407,6 +427,18 @@ def test_steps_distinct_in_derivation_order():
     acts = [a for a, _q in derive_steps(state_for(p, u), u)]
     assert acts == [FreeOut("a", "b"), In("a", "a"), In("a", "b"), In("a", "w0"), TAU_ACT]
     assert isinstance(transitions(p, u), frozenset)
+    # Labels are prefixes: a free output is labelled with the prefix that
+    # fired, an internal step with TAU; the older names are aliases.
+    assert acts[0] is p.left.prefix and type(acts[0]) is Output
+    assert TAU_ACT is TAU and FreeOut is Output and TauAction is Tau
+    assert piwb.TAU_ACT is TAU and piwb.FreeOut is Output and piwb.TauAction is Tau
+    assert piwb.BoundOutputPrefix is BoundOut and piwb.Action is semantics.Action
+    p = parse("a!b.0 | a?(x).0 | new z.c!z.0 | tau.0")
+    u = NameUniverse.for_terms(p)
+    acts = [a for a, _q in derive_steps(state_for(p, u), u)]
+    assert [action_text(a) for a in acts] == [
+        "a!b", "a?a", "a?b", "a?c", "a?w0", "tau", "c!(w0)", "tau",
+    ]
 
 
 def _memo_against_whole(roots, u, cap):
@@ -423,7 +455,6 @@ def _memo_against_whole(roots, u, cap):
             state = queue.pop(0)
             steps = derive_steps(state, u, memo)
             assert steps == derive_steps(state, u), state
-            assert all(_actions[a] is a for a, _q in steps)
             composed += type(state[0]) is Par
             for _a, q in steps:
                 if q not in seen:
@@ -515,6 +546,87 @@ def test_input_continuations_derived_once_per_exploration(monkeypatch):
         explore()
         assert calls and len(calls) == len(set(calls))
         assert set(calls) == set(asked) and len(asked) > 2 * len(calls)
+
+
+def _reference_input_derivatives(t, chan, datum) -> tuple:
+    """The dedicated reception walker that `_input_derivatives` replaced:
+    a restriction of the channel or the datum blocks, `|` and `!` lift,
+    and no communication is derived."""
+    done: list[tuple] = []
+    todo: list = []
+    while True:
+        cls = type(t)
+        if cls is Prefixed:
+            core = t.prefix
+            if type(core) is Match:
+                core = _resolve_prefix(core)
+            if type(core) is Input and core.chan == chan:
+                done.append((_instance(t.cont, datum, core.binder),))
+            else:
+                done.append(())
+        elif cls is Sum or cls is Par:
+            todo += ((t,), t.right)
+            t = t.left
+            continue
+        elif cls is Restrict or cls is Repl:
+            if cls is Repl or (t.binder != chan and t.binder != datum):
+                todo.append((t,))
+                t = t.body
+                continue
+            done.append(())
+        elif cls is Nil:
+            done.append(())
+        else:
+            raise TypeError(f"not a process: {t!r}")
+        while True:
+            if not todo:
+                return done[0]
+            t = todo.pop()
+            if type(t) is not tuple:
+                break
+            t = t[0]
+            cls = type(t)
+            if cls is Sum:
+                right = done.pop()
+                done[-1] += right
+            elif cls is Par:
+                right = done.pop()
+                done[-1] = tuple(Par(l2, t.right) for l2 in done[-1]) + tuple(
+                    Par(t.left, r2) for r2 in right
+                )
+            elif cls is Restrict:
+                done[-1] = tuple(Restrict(t.binder, b2) for b2 in done[-1])
+            else:
+                done[-1] = tuple(Par(b2, t) for b2 in done[-1])
+
+
+def test_receptions_match_the_reference_walker():
+    # Receptions come from `_derive` with only inputs on one channel
+    # firing; they must be the reference walker's, tuple for tuple and in
+    # order, for every channel and datum among the free names and w0.
+    named = [
+        "new a.a?(x).x!x.0 | a?(y).0",  # restriction of the channel
+        "new b.a?(x).x!b.0 | a?(y).y!b.0",  # restriction of a datum
+        "new w0.a?(x).x!w0.0",  # restriction of the pool name
+        "[a=a]a?(x).x!x.0 + [a=b]a?(y).0 + b?(z).0 + a!b.0",  # guards, sums
+        "tau.a?(x).0 + a?(y).y!y.0 + a?(z).0",
+        "!a?(x).x!x.0",
+        "!(a?(x).0 | b?(y).y!y.0) | a?(z).tau.0",
+        "new c.!(a?(x).c!x.0 | c?(y).a!y.0)",
+        "a!b.0 | a?(x).x!x.0 | (b?(y).0 + a?(z).z!a.0)",  # outputs, no comm
+        "new z.(z?(x).0 | a?(y).z!y.0 | new a.a?(w).0)",
+    ]
+    gen = TermGen(19, ("a", "b", "c"))
+    terms = [parse(t) for t in named] + [gen.term(1 + i % 10) for i in range(300)]
+    received = 0
+    for t in terms:
+        names = sorted(free_names(t) | {"w0"})
+        for chan in names:
+            for datum in names:
+                got = _input_derivatives(t, chan, datum)
+                assert got == _reference_input_derivatives(t, chan, datum), (t, chan, datum)
+                received += len(got)
+    assert received > 400
 
 
 def _whole_graph(p, u):
