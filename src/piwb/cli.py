@@ -423,6 +423,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
+        if args.max_weight is not None and args.max_weight < 0:
+            raise UsageError(f"--max-weight must not be negative, got {args.max_weight}")
         report, code = args.func(args, t0)
     except PiwbError as exc:
         label = "inconclusive" if exc.exit_code == 3 else "error"

@@ -4,8 +4,9 @@ Decomposition is structural first: restrictions are narrowed, top-level
 parallel compositions flattened, and factors equivalent to 0 dropped.
 Whether a remaining factor secretly splits (for instance a sum that is
 bisimilar to a parallel composition) is then decided exactly, from the
-factor's own derivatives (`_split`).  `find_split` is the independent
-bounded reference: an exhaustive search of a `TermUniverse`.
+factor's own derivatives (`_split`).  `find_split` asks the bounded
+question of a `TermUniverse`: two of its terms that compose to the
+factor, paired under `_split`'s conditions.
 
 `decomposition` and `verify_upd` read every class from one
 `BehaviorIndex` over the caller's universe and input discipline; factor
@@ -33,14 +34,12 @@ from .errors import Aborted, NotFinite
 from .parser import _render
 from .semantics import (
     NameUniverse,
-    _resolve_prefix,
     clear_transition_cache,
     derive_steps,
     start_index,
     state_for,
 )
 from .syntax import (
-    In,
     Input,
     Match,
     NIL,
@@ -268,59 +267,16 @@ class TermUniverse:
     ... by nesting depth, skipping the universe's names), so each alpha
     class is produced exactly once and every term comes out in the form
     `alpha_canonical` gives it, which then returns it unchanged.  Guards
-    range over the free names and the binders in scope.
-
-    The optional action filters shrink the space for split searches; they
-    are stated over the actions a candidate may ever perform, and
-    find_split derives them soundly from the behaviour of the term being
-    split (see there).  By default everything the grammar allows is
-    produced.
+    range over the free names and the binders in scope.  Every term the
+    grammar allows is produced.
     """
 
-    def __init__(
-        self,
-        names,
-        max_size: int,
-        allow_restriction: bool = True,
-        allow_tau: bool = True,
-        out_pairs=None,
-        in_channels=None,
-        bound_out_channels=None,
-    ):
+    def __init__(self, names, max_size: int):
         self.names = tuple(sorted(set(names)))
         self.max_size = max_size
-        self.allow_restriction = allow_restriction
-        self.allow_tau = allow_tau
-        self.out_pairs = None if out_pairs is None else frozenset(out_pairs)
-        self.in_channels = None if in_channels is None else frozenset(in_channels)
-        self.bound_out_channels = (
-            None if bound_out_channels is None else frozenset(bound_out_channels)
-        )
         # Every binder sits under fewer than max_size others.
         self._binders = tuple(islice(level_names(self.names), max_size))
-        self._proc_memo: dict = {}
-        self._sum_memo: dict = {}
-        self._prefix_memo: dict = {}
-
-    # -- filter helpers ------------------------------------------------------
-
-    def _inputs_possible(self) -> bool:
-        return self.in_channels is None or bool(self.in_channels)
-
-    def _any_outputs(self) -> bool:
-        if self.out_pairs is None or self.bound_out_channels is None:
-            return True
-        return bool(self.out_pairs) or bool(self.bound_out_channels)
-
-    def _restriction_useful(self) -> bool:
-        # A restriction matters only if a hidden name can be extruded or
-        # internal communication can happen; otherwise every restricted
-        # term is equivalent to an unrestricted one in the same universe.
-        if not self.allow_restriction:
-            return False
-        if self.bound_out_channels is None or self.bound_out_channels:
-            return True
-        return self.allow_tau
+        self._memo: dict = {}
 
     def _binder(self, scope) -> str:
         return self._binders[len(scope)]
@@ -333,43 +289,21 @@ class TermUniverse:
         return max(4, (self.max_size + 1) // 2)
 
     def _basics(self, scope):
+        """All prefixes of one operator, with their binder."""
         received = tuple(n for k, n in scope if k == "i")
         hidden = tuple(n for k, n in scope if k == "r")
         data = self.names + tuple(n for _k, n in scope)
+        binder = self._binder(scope)
         out = []
         for chan in self.names:
-            for datum in self.names:
-                if self.out_pairs is None or (chan, datum) in self.out_pairs:
-                    out.append((Output(chan, datum), None))
-            for datum in received:
-                # The emitted value is whatever was received; only the
-                # channel is syntactically fixed.
-                if self.out_pairs is None or any(c == chan for c, _ in self.out_pairs):
-                    out.append((Output(chan, datum), None))
-            for datum in hidden:
-                if self.bound_out_channels is None or chan in self.bound_out_channels:
-                    out.append((Output(chan, datum), None))
-            if self.in_channels is None or chan in self.in_channels:
-                binder = self._binder(scope)
-                out.append((Input(chan, binder), binder))
-        for chan in received:
-            # Channel position holds a received name: any visible action
-            # could result, so gate on whether such actions exist at all.
-            if self._any_outputs():
-                for datum in data:
-                    out.append((Output(chan, datum), None))
-            if self._inputs_possible():
-                binder = self._binder(scope)
-                out.append((Input(chan, binder), binder))
-        for chan in hidden:
-            # Prefixes on a hidden channel only ever feed internal steps.
-            if self.allow_tau:
-                for datum in data:
-                    out.append((Output(chan, datum), None))
-                binder = self._binder(scope)
-                out.append((Input(chan, binder), binder))
-        if self.allow_tau:
-            out.append((TAU, None))
+            for datum in self.names + received + hidden:
+                out.append((Output(chan, datum), None))
+            out.append((Input(chan, binder), binder))
+        for chan in received + hidden:
+            for datum in data:
+                out.append((Output(chan, datum), None))
+            out.append((Input(chan, binder), binder))
+        out.append((TAU, None))
         return out
 
     def _gen_prefixes(self, size: int, scope):
@@ -379,37 +313,30 @@ class TermUniverse:
         if size == 1:
             yield from self._basics(scope)
             return
-        if not self._inputs_possible():
-            return
         avail = self.names + tuple(n for _k, n in scope)
         for inner, binder in self._gen_prefixes(size - 1, scope):
             for lhs in avail:
                 for rhs in avail:
                     yield Match(lhs, rhs, inner), binder
 
-    def _list_prefixes(self, size: int, scope):
-        key = (size, scope)
-        got = self._prefix_memo.get(key)
+    def _listed(self, gen, size: int, scope) -> list:
+        """`gen(size, scope)` as a list, built once per universe.  Keyed by
+        the method's name: a bound method would make the universe a
+        cycle, freed only by the cyclic collector."""
+        key = (gen.__name__, size, scope)
+        got = self._memo.get(key)
         if got is None:
-            got = list(self._gen_prefixes(size, scope))
-            self._prefix_memo[key] = got
+            got = self._memo[key] = list(gen(size, scope))
         return got
+
+    def _list_prefixes(self, size: int, scope):
+        return self._listed(self._gen_prefixes, size, scope)
 
     def _list_processes(self, size: int, scope) -> list[Process]:
-        key = (size, scope)
-        got = self._proc_memo.get(key)
-        if got is None:
-            got = list(self._gen_processes_raw(size, scope))
-            self._proc_memo[key] = got
-        return got
+        return self._listed(self._gen_processes_raw, size, scope)
 
     def _list_summations(self, size: int, scope) -> list[Process]:
-        key = (size, scope)
-        got = self._sum_memo.get(key)
-        if got is None:
-            got = list(self._gen_summations_raw(size, scope))
-            self._sum_memo[key] = got
-        return got
+        return self._listed(self._gen_summations_raw, size, scope)
 
     def _gen_processes(self, size: int, scope):
         if size <= self._memo_cap:
@@ -442,7 +369,7 @@ class TermUniverse:
                 size - 1, scope, self._gen_processes, self._list_processes
             ):
                 yield Par(left, right)
-        if self._restriction_useful() and size >= 2:
+        if size >= 2:
             binder = self._binder(scope)
             for body in self._gen_processes(size - 1, scope + (("r", binder),)):
                 yield Restrict(binder, body)
@@ -503,103 +430,6 @@ class NoSplitWithinUniverse:
 NO_SPLIT = NoSplitWithinUniverse()
 
 
-def _label(a) -> tuple:
-    """Comparable initial-action label; binder-valued parts abstracted."""
-    if a == TAU_ACT:
-        return ("t",)
-    if isinstance(a, Output):
-        return ("o", a.chan, a.datum)
-    if isinstance(a, In):
-        return ("i", a.chan)
-    return ("b", a.chan)
-
-
-def _top_capabilities(t: Process, hidden: frozenset):
-    """Initial action labels plus comm-capable channels, syntactically.
-
-    Matches the transition relation on root states over closed terms:
-    guards at the root resolve exactly (no binder is in scope yet) and
-    hidden channels contribute communication capability but no label.
-    """
-    if isinstance(t, Nil):
-        return frozenset(), frozenset(), frozenset()
-    if isinstance(t, Prefixed):
-        core = _resolve_prefix(t.prefix)
-        if core is None:
-            return frozenset(), frozenset(), frozenset()
-        if isinstance(core, Output):
-            labels: frozenset = frozenset()
-            if core.chan not in hidden:
-                if core.datum in hidden:
-                    labels = frozenset({("b", core.chan)})
-                else:
-                    labels = frozenset({("o", core.chan, core.datum)})
-            return labels, frozenset({core.chan}), frozenset()
-        if isinstance(core, Input):
-            labels = (
-                frozenset()
-                if core.chan in hidden
-                else frozenset({("i", core.chan)})
-            )
-            return labels, frozenset(), frozenset({core.chan})
-        return frozenset({("t",)}), frozenset(), frozenset()
-    if isinstance(t, Sum):
-        l1, o1, i1 = _top_capabilities(t.left, hidden)
-        l2, o2, i2 = _top_capabilities(t.right, hidden)
-        return l1 | l2, o1 | o2, i1 | i2
-    if isinstance(t, Par):
-        l1, o1, i1 = _top_capabilities(t.left, hidden)
-        l2, o2, i2 = _top_capabilities(t.right, hidden)
-        labels = l1 | l2
-        if (o1 & i2) or (o2 & i1):
-            labels = labels | {("t",)}
-        return labels, o1 | o2, i1 | i2
-    if isinstance(t, Restrict):
-        return _top_capabilities(t.body, hidden | {t.binder})
-    if isinstance(t, Repl):
-        labels, outs, ins = _top_capabilities(t.body, hidden)
-        if outs & ins:
-            labels = labels | {("t",)}
-        return labels, outs, ins
-    raise TypeError(f"not a process: {t!r}")
-
-
-class _Observed(NamedTuple):
-    out_pairs: frozenset
-    bound_out_channels: frozenset
-    in_channels: frozenset
-    tau: bool
-
-
-def _observed(index: BehaviorIndex, root: int) -> _Observed:
-    """Actions reachable from a behaviour class, summarized for pruning.
-
-    One pass in id order: signatures name only smaller ids, so every
-    successor's summary is ready when a class reads it."""
-    table: list[_Observed] = []
-    for cid in range(root + 1):
-        pairs: set = set()
-        bouts: set = set()
-        ins: set = set()
-        tau = False
-        for a, c2 in index.moves(cid):
-            if a == TAU_ACT:
-                tau = True
-            elif isinstance(a, In):
-                ins.add(a.chan)
-            elif isinstance(a, Output):
-                pairs.add((a.chan, a.datum))
-            else:
-                bouts.add(a.chan)
-            sub = table[c2]
-            pairs |= sub.out_pairs
-            bouts |= sub.bound_out_channels
-            ins |= sub.in_channels
-            tau = tau or sub.tau
-        table.append(_Observed(frozenset(pairs), frozenset(bouts), frozenset(ins), tau))
-    return table[root]
-
-
 def find_split(
     p: Process,
     mode: str,
@@ -607,113 +437,51 @@ def find_split(
     u: NameUniverse | None = None,
     budget: int = 2_000_000,
 ):
-    """Search `tu` exhaustively for q, r with q | r equivalent to `p`.
+    """Search `tu` for q, r with q | r equivalent to `p`.
 
-    The search is exhaustive over the universe modulo reductions that
-    cannot change the existence verdict:
-
-    * any factor of a composition equivalent to `p` can only ever perform
-      actions `p` performs, because factor moves surface unchanged in the
-      composition -- so candidate prefixes are filtered by the output
-      pairs, bound-output channels, input channels, and internal steps
-      observed in `p` (in weak mode internal steps stay allowed: a tau
-      challenge may be answered by standing still);
-    * restrictions are generated only when hiding can matter (possible
-      extrusion or internal communication); otherwise every restricted
-      term has an unrestricted equivalent inside the universe;
-    * candidates are deduplicated by behaviour class, and factor depths
-      must be positive and, in strong mode, sum to depth(p) exactly by
-      depth additivity.
+    A bounded query over `_split`'s exact verdict.  When `p` has no split
+    at all, there is none in `tu`, which is then not enumerated.
+    Otherwise the first term of each class of `tu` that passes `_split`'s
+    necessary conditions on a part (`_part_conditions`) joins the terms
+    of its measure, and is then paired with each kept term of the
+    complementary measure, itself included.
 
     A given universe `u` must know `tu.names` and the free names of `p`
-    (the default).  Raises Aborted with a progress count when enumeration
-    plus pair checking exceeds `budget` steps.
+    (the default).  Raises Aborted with a progress count when the
+    enumerated terms plus the pairs checked exceed `budget`.
     """
     if not is_replication_free(p):
         raise NotFinite("split search requires a replication-free term")
     if u is None:
         u = NameUniverse.for_terms(p, extra_known=tu.names)
     index = BehaviorIndex(u)
-    target = index.class_in_mode(p, mode)
-    nil = index.nil_class_in_mode(mode)
-    if target == nil:
+    table: list = []
+    if _split(p, mode, index, table) is None:
         return NO_SPLIT
-    root = index.class_of(p)
-    obs = _observed(index, root)
-    # A weak tau challenge may be answered by staying put, so tau-prefixed
-    # candidates stay legal in weak mode even if p itself never steps
-    # internally.
-    #
-    # When candidates can neither extrude a name nor receive from the
-    # environment, a restriction can only implement internal
-    # communication.  Its machinery costs at least five operators
-    # (restriction, parallel, send and receive prefixes, continuation),
-    # so below nine operators total the reachable behaviour is a small
-    # tau tree that the same universe expresses restriction-free; the
-    # suppression is therefore class-complete at these sizes.
-    allow_res = tu.allow_restriction
-    if not obs.bound_out_channels and not obs.in_channels and tu.max_size <= 8:
-        allow_res = False
-    pruned = TermUniverse(
-        tu.names,
-        tu.max_size,
-        allow_restriction=allow_res,
-        allow_tau=obs.tau or mode == WEAK,
-        out_pairs=obs.out_pairs,
-        in_channels=obs.in_channels,
-        bound_out_channels=obs.bound_out_channels,
-    )
-    depth_p = index.depths[root]
-    if mode == STRONG:
-        moves = index.moves(root)
-    else:
-        # Weak answers may absorb internal steps, so a factor's initial
-        # visible action only needs to be weakly initial in p, a visible
-        # move of p's weak record; internal steps can always be answered
-        # by standing still.
-        moves = (*index.weak_moves(index.weak_id(root)), (TAU_ACT, None))
-    allowed_initials = frozenset(_label(a) for a, _c in moves)
-
-    candidates: dict[int, list[Process]] = {}
-    seen_classes: set[int] = set()
+    measure_p, admits, composes = _part_conditions(p, mode, index, table)
+    by_measure: dict[int, list] = {}
+    seen: set[int] = set()
     checked = 0
-    for term in pruned.enumerate():
+    for term in tu.enumerate():
         checked += 1
         if checked > budget:
             raise Aborted("split search budget exceeded", progress=checked)
-        # A factor's initial actions all surface in the composition, so
-        # they must sit inside p's initial action set; checked before the
-        # expensive behaviour classification.
-        labels, _, _ = _top_capabilities(term, frozenset())
-        if not labels <= allowed_initials:
+        strong = index.class_of(term)
+        cid = strong if mode == STRONG else index.weak_id(strong)
+        if cid in seen:
             continue
-        cid = index.class_in_mode(term, mode)
-        if cid == nil or cid in seen_classes:
+        seen.add(cid)
+        part = admits(strong)
+        if part is None:
             continue
-        seen_classes.add(cid)
-        d = index.depth_of(term)
-        if mode == STRONG and not (1 <= d <= depth_p - 1):
-            continue
-        candidates.setdefault(d, []).append(term)
-    if mode == STRONG:
-        # Depth additivity: the two factors' depths sum to depth(p).
-        pairs = (
-            (q, r)
-            for d in sorted(candidates)
-            if 2 * d <= depth_p
-            for i, q in enumerate(candidates[d])
-            for r in candidates.get(depth_p - d, [])[i if 2 * d == depth_p else 0 :]
-        )
-    else:
-        # Weak mode: no depth additivity available; check every class pair.
-        terms = [term for bucket in candidates.values() for term in bucket]
-        pairs = ((q, r) for i, q in enumerate(terms) for r in terms[i:])
-    for q, r in pairs:
-        checked += 1
-        if checked > budget:
-            raise Aborted("split search budget exceeded", progress=checked)
-        if index.class_in_mode(Par(q, r), mode) == target:
-            return SplitFound(q, r)
+        measure, labels = part
+        by_measure.setdefault(measure, []).append((labels, term))
+        for labels_q, q in by_measure.get(measure_p - measure, ()):
+            checked += 1
+            if checked > budget:
+                raise Aborted("split search budget exceeded", progress=checked)
+            if composes(q, labels_q, term, labels):
+                return SplitFound(q, term)
     return NO_SPLIT
 
 
@@ -814,38 +582,61 @@ def _split(p: Process, mode: str, index: BehaviorIndex, table: list):
         strong = index.class_at(t, 0)
         cid = strong if mode == STRONG else index.weak_id(strong)
         candidates.setdefault(cid, (strong, t))
-        for _a, q in derive_steps(state, u):
+        for _a, q in derive_steps(state, u, index._memo):
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
-    _summarize(index, mode, table)
-    measure_p, labels_p = table[index.class_of(p)]
-    # Necessary conditions, checked before classifying a composition:
-    # * Depth is additive over `|` (a communication weighs what its two
-    #   halves weigh), and so is the longest visible trace (interleaving
-    #   reaches the sum; each visible step of q | r is one of a part's).
-    #   A part not equivalent to 0 has measure at least 1.
-    # * A part's (weakly) initial actions are the composition's, so p's.
-    # * Strong only: a visible initial action of q | r is one of q's or
-    #   r's.  Weakly, a communication between the parts may enable one.
+    measure_p, admits, composes = _part_conditions(p, mode, index, table)
     by_measure: dict[int, list] = {}
     for strong, t in candidates.values():
-        measure, labels = table[strong]
-        if 1 <= measure < measure_p and labels <= labels_p:
-            by_measure.setdefault(measure, []).append((labels, t))
-    covered = labels_p - {TAU_ACT} if mode == STRONG else frozenset()
-    target = index.class_in_mode(p, mode)
+        part = admits(strong)
+        if part is not None:
+            by_measure.setdefault(part[0], []).append((part[1], t))
     for m in sorted(by_measure):
         if 2 * m > measure_p:
             break
         partners = by_measure.get(measure_p - m, [])
         for i, (labels_q, q) in enumerate(by_measure[m]):
             for labels_r, r in partners[i if 2 * m == measure_p else 0 :]:
-                if covered <= labels_q | labels_r and (
-                    index.class_in_mode(Par(q, r), mode) == target
-                ):
+                if composes(q, labels_q, r, labels_r):
                     return q, r
     return None
+
+
+def _part_conditions(p: Process, mode: str, index: BehaviorIndex, table: list):
+    """`p`'s measure (see `_summarize`), `admits` and `composes`.
+
+    `admits(strong)` is the (measure, labels) of a would-be part of `p`
+    with strong class `strong`, or None when it fails a necessary
+    condition; `composes(q, labels_q, r, labels_r)` says whether two
+    admitted parts compose to `p`, checking the pair's condition before
+    classifying the composition.  The necessary conditions:
+    * Depth is additive over `|` (a communication weighs what its two
+      halves weigh), and so is the longest visible trace (interleaving
+      reaches the sum; each visible step of q | r is one of a part's).
+      A part not equivalent to 0 has measure at least 1.
+    * A part's (weakly) initial actions are the composition's, so p's.
+    * Strong only: a visible initial action of q | r is one of q's or
+      r's.  Weakly, a communication between the parts may enable one.
+    """
+    _summarize(index, mode, table)
+    measure_p, labels_p = table[index.class_of(p)]
+    covered = labels_p - {TAU_ACT} if mode == STRONG else frozenset()
+    target = index.class_in_mode(p, mode)
+
+    def admits(strong: int):
+        _summarize(index, mode, table)
+        measure, labels = table[strong]
+        if 1 <= measure < measure_p and labels <= labels_p:
+            return measure, labels
+        return None
+
+    def composes(q: Process, labels_q, r: Process, labels_r) -> bool:
+        return covered <= labels_q | labels_r and (
+            index.class_in_mode(Par(q, r), mode) == target
+        )
+
+    return measure_p, admits, composes
 
 
 def _factor_classes(term: Process, index: BehaviorIndex, mode: str, nil: int):

@@ -215,6 +215,14 @@ def test_adjacent_restrictions_decompose_promptly():
         assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("command", ["lts", "norm"])
+def test_negative_max_weight_is_a_usage_error(command, capsys):
+    # Not a truncated one-state graph (lts) or an inconclusive norm.
+    assert run(["--max-weight", "-1", command, "a!b.0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --max-weight")
+
+
 def test_norm_inconclusive_exit_code(capsys):
     assert run(["--max-weight", "3", "norm", "!a!b.0"]) == 3
 

@@ -1,3 +1,4 @@
+from functools import lru_cache
 import random
 import time
 
@@ -83,9 +84,9 @@ def test_scope_narrow_preserves_strong_bisimilarity(p):
 
 
 def test_term_universe_exhaustive_small():
-    tu = TermUniverse(["a"], 2, allow_restriction=False)
+    tu = TermUniverse(["a"], 2)
     got = {pretty(t) for t in tu.enumerate()}
-    assert got == {"0", "a!a.0", "a?(v0).0", "tau.0"}
+    assert got == {"0", "a!a.0", "a?(v0).0", "tau.0", "new v0.0"}
 
 
 def test_term_universe_deterministic():
@@ -99,6 +100,48 @@ def test_term_universe_sizes_monotone():
 
     for t in TermUniverse(["a"], 4).enumerate():
         assert term_size(t) <= 4
+
+
+def _grammar_count(n_names: int, max_size: int) -> int:
+    """Terms of at most `max_size` operators over `n_names` names, counted
+    from `TermUniverse`'s grammar without enumerating: a process is a
+    summation, two processes in parallel or a restriction of one; a
+    summation is 0, a prefixed process or a sum of two summations; a
+    prefix of k operators is k - 1 guards over a basic prefix.  With m
+    names in scope, free or bound, there are m * m guards and m * m
+    outputs, m inputs (which bind one more name) and tau, so only the
+    number of binders in scope matters."""
+
+    @lru_cache(maxsize=None)
+    def processes(size, bound):
+        got = summations(size, bound)
+        if size >= 2:
+            got += processes(size - 1, bound + 1)
+        return got + sum(
+            processes(a, bound) * processes(size - 1 - a, bound) for a in range(1, size - 1)
+        )
+
+    @lru_cache(maxsize=None)
+    def summations(size, bound):
+        m = n_names + bound
+        got = int(size == 1)
+        for k in range(1, size):
+            conts = (m * m + 1) * processes(size - k, bound) + m * processes(size - k, bound + 1)
+            got += (m * m) ** (k - 1) * conts
+        return got + sum(
+            summations(a, bound) * summations(size - 1 - a, bound) for a in range(1, size - 1)
+        )
+
+    return sum(processes(size, 0) for size in range(1, max_size + 1))
+
+
+def test_term_universe_count_follows_its_grammar():
+    for names, want in ((["a"], 349), (["a", "b"], 2_136), (["a", "b", "c"], 10_281)):
+        assert _grammar_count(len(names), 4) == TermUniverse(names, 4).count() == want
+    # The sweeps' pinned term counts, too large to enumerate here, and the
+    # {a, b} universe at size 7.
+    assert [_grammar_count(2, size) for size in (5, 6, 7)] == [49_051, 1_437_668, 52_427_052]
+    assert [_grammar_count(3, size) for size in (5, 6)] == [342_847, 13_549_335]
 
 
 def test_decomposition_nil_is_empty():
@@ -195,18 +238,36 @@ def test_dead_guards_see_only_the_binders_in_scope():
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
 @pytest.mark.parametrize("inputs", ["early", "fresh-only"])
 def test_derivative_split_agrees_with_bounded_search(mode, inputs):
-    # Every single-factor term over {a, b} of size at most 4 splits
-    # exactly when the bounded reference finds parts of size at most 3.
+    # The reference prunes nothing: the classes of q | r over every pair
+    # of part classes of size at most 3, each part paired with itself
+    # too.  Every single-factor term over {a, b} of size at most 4 splits
+    # exactly when its class is one of them, by `decomposition` and by
+    # `find_split` alike.
     u = NameUniverse.for_terms(extra_known=["a", "b"], input_mode=inputs)
+    index = BehaviorIndex(u)
+    nil = index.nil_class_in_mode(mode)
+    reps = {}
+    for t in TermUniverse(["a", "b"], 3).enumerate():
+        cid = index.class_in_mode(t, mode)
+        if cid != nil:
+            reps.setdefault(cid, t)
+    reps = list(reps.values())
+    assert len(reps) == {STRONG: 70, WEAK: 56}[mode]
+    composed = {
+        index.class_in_mode(Par(q, r), mode)
+        for i, q in enumerate(reps)
+        for r in reps[i:]
+    }
     parts = TermUniverse(["a", "b"], 3)
-    verdicts = set()
+    splits = []
     for t in TermUniverse(["a", "b"], 4).enumerate():
         if len(parallel_factors(t)) != 1:
             continue
-        want = isinstance(find_split(t, mode, parts, u), SplitFound)
+        want = index.class_in_mode(t, mode) in composed
         assert (len(decomposition(t, mode, u)) > 1) == want, pretty(t)
-        verdicts.add(want)
-    assert verdicts == {True, False}
+        assert isinstance(find_split(t, mode, parts, u), SplitFound) == want, pretty(t)
+        splits.append(want)
+    assert sum(splits) == {STRONG: 65, WEAK: 74}[mode]
 
 
 def test_find_split_parallel():
@@ -228,8 +289,10 @@ def test_find_split_scope_extrusion_state():
 
 
 def test_find_split_of_a_long_chain_needs_no_deep_recursion():
-    # The observed-action summary walks the class ids in order, so a
-    # 2,000-prefix chain is searched, not a RecursionError.
+    # The chain splits (a!b.0 | the rest), so the universe is searched,
+    # and holds no part of measure 1,999.  The exact search walks the
+    # chain's derivatives on an explicit stack and summarizes class ids
+    # in order, so this is no RecursionError.
     chain = parse("a!b." * 2000 + "0")
     assert find_split(chain, STRONG, TermUniverse(["a", "b"], 2)) == NO_SPLIT
 
