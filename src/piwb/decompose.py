@@ -25,12 +25,13 @@ factors as it is enumerated.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple, Optional
 
 from .equivalence import STRONG, WEAK, BehaviorIndex
-from .errors import Aborted, NotFinite
+from .errors import Aborted, NotFinite, TooLarge
 from .parser import _render
 from .semantics import (
     NameUniverse,
@@ -266,9 +267,14 @@ class TermUniverse:
     one).  Binders take their level names (`syntax.level_names`: v0, v1,
     ... by nesting depth, skipping the universe's names), so each alpha
     class is produced exactly once and every term comes out in the form
-    `alpha_canonical` gives it, which then returns it unchanged.  Guards
-    range over the free names and the binders in scope.  Every term the
-    grammar allows is produced.
+    `alpha_canonical` gives it, which then returns it unchanged.  Every
+    term the grammar allows is produced.
+
+    Received and hidden binders are alike to the grammar: the names in
+    scope, free names first and then the bound ones from the outside in,
+    serve as channels, data and guard operands.  A scope is therefore
+    just its binder depth, and each list of smaller terms is built once
+    per (size, depth) and shared by every scope of that depth.
     """
 
     def __init__(self, names, max_size: int):
@@ -278,8 +284,8 @@ class TermUniverse:
         self._binders = tuple(islice(level_names(self.names), max_size))
         self._memo: dict = {}
 
-    def _binder(self, scope) -> str:
-        return self._binders[len(scope)]
+    def _in_scope(self, depth: int) -> tuple:
+        return self.names + self._binders[:depth]
 
     @property
     def _memo_cap(self) -> int:
@@ -288,121 +294,159 @@ class TermUniverse:
         # memory all at once.
         return max(4, (self.max_size + 1) // 2)
 
-    def _basics(self, scope):
+    def _basics(self, depth: int):
         """All prefixes of one operator, with their binder."""
-        received = tuple(n for k, n in scope if k == "i")
-        hidden = tuple(n for k, n in scope if k == "r")
-        data = self.names + tuple(n for _k, n in scope)
-        binder = self._binder(scope)
+        avail = self._in_scope(depth)
+        binder = self._binders[depth]
         out = []
-        for chan in self.names:
-            for datum in self.names + received + hidden:
-                out.append((Output(chan, datum), None))
-            out.append((Input(chan, binder), binder))
-        for chan in received + hidden:
-            for datum in data:
+        for chan in avail:
+            for datum in avail:
                 out.append((Output(chan, datum), None))
             out.append((Input(chan, binder), binder))
         out.append((TAU, None))
         return out
 
-    def _gen_prefixes(self, size: int, scope):
+    def _gen_prefixes(self, size: int, depth: int):
         """All prefixes of exactly `size` operators, with their binder."""
         if size < 1:
             return
         if size == 1:
-            yield from self._basics(scope)
+            yield from self._basics(depth)
             return
-        avail = self.names + tuple(n for _k, n in scope)
-        for inner, binder in self._gen_prefixes(size - 1, scope):
+        avail = self._in_scope(depth)
+        for inner, binder in self._gen_prefixes(size - 1, depth):
             for lhs in avail:
                 for rhs in avail:
                     yield Match(lhs, rhs, inner), binder
 
-    def _listed(self, gen, size: int, scope) -> list:
-        """`gen(size, scope)` as a list, built once per universe.  Keyed by
+    def _listed(self, gen, size: int, depth: int) -> list:
+        """`gen(size, depth)` as a list, built once per universe.  Keyed by
         the method's name: a bound method would make the universe a
         cycle, freed only by the cyclic collector."""
-        key = (gen.__name__, size, scope)
+        key = (gen.__name__, size, depth)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = list(gen(size, scope))
+            got = self._memo[key] = list(gen(size, depth))
         return got
 
-    def _list_prefixes(self, size: int, scope):
-        return self._listed(self._gen_prefixes, size, scope)
+    def _list_prefixes(self, size: int, depth: int):
+        return self._listed(self._gen_prefixes, size, depth)
 
-    def _list_processes(self, size: int, scope) -> list[Process]:
-        return self._listed(self._gen_processes_raw, size, scope)
+    def _list_processes(self, size: int, depth: int) -> list[Process]:
+        return self._listed(self._gen_processes_raw, size, depth)
 
-    def _list_summations(self, size: int, scope) -> list[Process]:
-        return self._listed(self._gen_summations_raw, size, scope)
+    def _list_summations(self, size: int, depth: int) -> list[Process]:
+        return self._listed(self._gen_summations_raw, size, depth)
 
-    def _gen_processes(self, size: int, scope):
+    def _gen_processes(self, size: int, depth: int):
         if size <= self._memo_cap:
-            return iter(self._list_processes(size, scope))
-        return self._gen_processes_raw(size, scope)
+            return iter(self._list_processes(size, depth))
+        return self._gen_processes_raw(size, depth)
 
-    def _gen_summations(self, size: int, scope):
+    def _gen_summations(self, size: int, depth: int):
         if size <= self._memo_cap:
-            return iter(self._list_summations(size, scope))
-        return self._gen_summations_raw(size, scope)
+            return iter(self._list_summations(size, depth))
+        return self._gen_summations_raw(size, depth)
 
-    def _split_pairs(self, total: int, scope, gen_fn, list_fn):
+    def _split_pairs(self, total: int, depth: int, gen_fn, list_fn):
         """Ordered pairs over all size splits; the memoized side is inner."""
         cap = self._memo_cap
         for a in range(1, total):
             b = total - a
             if b <= cap:
-                for left in gen_fn(a, scope):
-                    for right in list_fn(b, scope):
+                for left in gen_fn(a, depth):
+                    for right in list_fn(b, depth):
                         yield left, right
             else:
-                for right in gen_fn(b, scope):
-                    for left in list_fn(a, scope):
+                for right in gen_fn(b, depth):
+                    for left in list_fn(a, depth):
                         yield left, right
 
-    def _gen_processes_raw(self, size: int, scope):
-        yield from self._gen_summations_raw(size, scope)
+    def _gen_processes_raw(self, size: int, depth: int):
+        yield from self._gen_summations_raw(size, depth)
         if size >= 3:
             for left, right in self._split_pairs(
-                size - 1, scope, self._gen_processes, self._list_processes
+                size - 1, depth, self._gen_processes, self._list_processes
             ):
                 yield Par(left, right)
         if size >= 2:
-            binder = self._binder(scope)
-            for body in self._gen_processes(size - 1, scope + (("r", binder),)):
+            binder = self._binders[depth]
+            for body in self._gen_processes(size - 1, depth + 1):
                 yield Restrict(binder, body)
 
-    def _gen_summations_raw(self, size: int, scope):
+    def _gen_summations_raw(self, size: int, depth: int):
         cap = self._memo_cap
         if size == 1:
             yield NIL
         for k in range(1, size):
             cont_size = size - k
             if cont_size <= cap:
-                for prefix, binder in self._gen_prefixes(k, scope):
-                    inner = scope + (("i", binder),) if binder is not None else scope
+                for prefix, binder in self._gen_prefixes(k, depth):
+                    inner = depth if binder is None else depth + 1
                     for cont in self._list_processes(cont_size, inner):
                         yield Prefixed(prefix, cont)
             else:
-                for prefix, binder in self._list_prefixes(k, scope):
-                    inner = scope + (("i", binder),) if binder is not None else scope
+                for prefix, binder in self._list_prefixes(k, depth):
+                    inner = depth if binder is None else depth + 1
                     for cont in self._gen_processes(cont_size, inner):
                         yield Prefixed(prefix, cont)
         if size >= 3:
             for left, right in self._split_pairs(
-                size - 1, scope, self._gen_summations, self._list_summations
+                size - 1, depth, self._gen_summations, self._list_summations
             ):
                 yield Sum(left, right)
 
     def enumerate(self):
         """Deterministic streaming enumeration, smaller operator counts first."""
         for size in range(1, self.max_size + 1):
-            yield from self._gen_processes(size, ())
+            yield from self._gen_processes(size, 0)
+
+    def _running_counts(self):
+        """How many terms `enumerate` yields up to each size 1, 2, ...,
+        `max_size`, counted from the grammar without enumerating.
+
+        A process is a summation, two processes in parallel or a
+        restriction of one; a summation is 0, a prefixed process or a sum
+        of two summations; a prefix of k operators is k - 1 guards over a
+        basic prefix.  With m names in scope there are m * m guards and
+        m * m outputs, m inputs (which bind one more name) and tau, so a
+        count depends only on the size and the binder depth.  A term of
+        size s at depth d inside a term of size t has s + d <= t, so the
+        counts for t need only the entries with s + d <= t, filled in
+        order of s + d and then of s.
+        """
+        n = len(self.names)
+        procs: dict[tuple[int, int], int] = {}  # (size, depth) -> processes
+        sums: dict[tuple[int, int], int] = {}  # (size, depth) -> summations
+        total = 0
+        for diagonal in range(1, self.max_size + 1):
+            for size in range(1, diagonal + 1):
+                depth = diagonal - size
+                m = n + depth
+                got = int(size == 1)
+                for k in range(1, size):
+                    rest = size - k
+                    conts = (m * m + 1) * procs[rest, depth] + m * procs[rest, depth + 1]
+                    got += (m * m) ** (k - 1) * conts
+                got += sum(
+                    sums[a, depth] * sums[size - 1 - a, depth] for a in range(1, size - 1)
+                )
+                sums[size, depth] = got
+                got += sum(
+                    procs[a, depth] * procs[size - 1 - a, depth] for a in range(1, size - 1)
+                )
+                if size >= 2:
+                    got += procs[size - 1, depth + 1]
+                procs[size, depth] = got
+            total += procs[diagonal, 0]
+            yield total
 
     def count(self) -> int:
-        return sum(1 for _ in self.enumerate())
+        """How many terms `enumerate` yields (see `_running_counts`)."""
+        total = 0
+        for total in self._running_counts():
+            pass
+        return total
 
 
 # --------------------------------------------------------------------------
@@ -793,6 +837,13 @@ class SweepReport(NamedTuple):
         }
 
 
+# The most terms `upd_sweep` enumerates.  A size-6 sweep over {a, b}
+# peaks at about 220 bytes per term (see the README), so a sweep at the
+# limit needs about 3.5 GB.  It admits {a, b, c} at size 6 (13,549,335
+# terms) and refuses {a, b} at size 7 (52,427,052).
+SWEEP_MAX_TERMS = 16_000_000
+
+
 def upd_sweep(
     names,
     max_size: int,
@@ -817,6 +868,9 @@ def upd_sweep(
     the terms themselves.  The derivation tables are cleared on entry
     and on exit, so a sweep leaves nothing interned behind.
 
+    The universe is counted first, without enumerating it, and a sweep
+    of more than `SWEEP_MAX_TERMS` terms raises TooLarge at once.
+
     In weak mode terms are swept in fresh-only input discipline by
     default.  `normalization_failures` stays in the report for its
     readers and is always empty: no term is rewritten before its factors
@@ -824,9 +878,15 @@ def upd_sweep(
     """
     if input_mode is None:
         input_mode = "fresh-only" if mode == WEAK else "early"
+    tu = TermUniverse(names, max_size)
+    for size, terms in enumerate(tu._running_counts(), 1):
+        if terms > SWEEP_MAX_TERMS:
+            raise TooLarge(
+                f"{terms:,} terms up to size {size} exceed the sweep limit "
+                f"of {SWEEP_MAX_TERMS:,} terms"
+            )
     clear_transition_cache()
     try:
-        tu = TermUniverse(names, max_size)
         index = BehaviorIndex(NameUniverse(tu.names, input_mode))
         sweep = _Sweep(index, mode)
 
@@ -841,15 +901,14 @@ def upd_sweep(
         violations = sweep.collect_violations()
     finally:
         clear_transition_cache()
-    with_pairs = sum(1 for n in sweep.member_count.values() if n > 1)
     return SweepReport(
         mode=mode,
         names=tuple(tu.names),
         max_size=max_size,
         input_mode=input_mode,
         term_count=term_count,
-        class_count=len(sweep.member_count),
-        classes_with_pairs=with_pairs,
+        class_count=sweep.class_count,
+        classes_with_pairs=sweep.classes_with_pairs,
         violations=violations,
         normalization_failures=[],
     )
@@ -862,18 +921,23 @@ class _Sweep:
     fills its weak layer in class-id order and each class depends only
     on smaller ids, so a term's weak id is final as soon as it is read.
 
-    Every class keeps its member count and depth.  Only a class with a
-    member that splits structurally keeps its factorizations, each with
-    the rendered text of its first member: an unsplit member adds no
-    information and its text is never reported.
+    Every class keeps three small ints in arrays indexed by class id:
+    the rank of its first member among the classes (the order classes
+    were first met), its member count capped at 2, and its depth.  Only
+    a class with a member that splits structurally keeps its
+    factorizations, each with the rendered text of its first member: an
+    unsplit member adds no information and its text is never reported.
     """
 
     def __init__(self, index: BehaviorIndex, mode: str):
         self.index = index
         self.mode = mode
-        self.member_count: dict[int, int] = {}
+        self.first_rank = array("q")
+        self.members = bytearray()  # min(member count, 2)
+        self.depth = array("q")
+        self.class_count = 0
+        self.classes_with_pairs = 0
         self.factorizations: dict[int, dict[tuple[int, ...], str]] = {}
-        self.class_depth: dict[int, int] = {}
         self.nil = index.nil_class_in_mode(mode)
 
     def add_term(self, term: Process, retain: bool = True):
@@ -884,9 +948,21 @@ class _Sweep:
         cid = strong if self.mode == STRONG else index.weak_id(strong)
         if cid == self.nil:
             return
-        self.member_count[cid] = self.member_count.get(cid, 0) + 1
-        if cid not in self.class_depth:
-            self.class_depth[cid] = index.depths[strong]
+        members = self.members
+        if cid >= len(members):
+            grow = cid + 1 - len(members)
+            members.extend(bytes(grow))
+            self.first_rank.extend(repeat(0, grow))
+            self.depth.extend(repeat(0, grow))
+        seen = members[cid]
+        if seen == 0:
+            self.first_rank[cid] = self.class_count
+            self.depth[cid] = index.depths[strong]
+            self.class_count += 1
+            members[cid] = 1
+        elif seen == 1:
+            self.classes_with_pairs += 1
+            members[cid] = 2
         key = self.factor_key(term, cid)
         if key != (cid,):
             by_class = self.factorizations.setdefault(cid, {})
@@ -945,7 +1021,7 @@ class _Sweep:
             return refined
 
         # Classes in order of depth, then of first member, as enumerated.
-        split = [c for c in self.member_count if c in self.factorizations]
-        for cid in sorted(split, key=self.class_depth.__getitem__):
+        depth, rank = self.depth, self.first_rank
+        for cid in sorted(self.factorizations, key=lambda c: (depth[c], rank[c])):
             finalize(cid)
         return violations

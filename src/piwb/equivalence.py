@@ -10,14 +10,18 @@ challenge may be answered by staying put.  The index also records which
 classes can reach a stuttering step.
 
 The index stores every set it interns packed: a move (action, id)
-becomes the one int `action id << 40 | id`, where the action id is small
-and per index (tau is 0), and a set of moves becomes the sorted tuple of
-its distinct ints.  A frozenset costs at least 216 bytes even when empty
-and a retained `(action, id)` tuple 56 more per move; a sweep interns
-tens of thousands of mostly tiny sets, so these made up most of the
-index's memory.  The packing is injective while ids stay below 2**40,
-and the index raises `TooLarge` rather than allocate that id (far beyond
-any memory).  `BehaviorIndex.moves` and `weak_moves` decode the sets;
+becomes the one unsigned 64-bit word `action id << 40 | id`, where the
+action id is small and per index (tau is 0), and a set of moves becomes
+one `bytes` object holding its distinct words in ascending order, as
+native machine words (`array("Q")`).  A weak record is a pair of such
+`bytes`; the empty set is the shared `b""`.  A tuple of boxed ints costs
+about 40 bytes per move and a frozenset of pairs several times that,
+while a word costs 8; a sweep interns hundreds of thousands of mostly
+tiny sets, so this is most of the index's memory.  The packing is
+injective under two limits, and the index raises `TooLarge` rather than
+cross either: class ids stay below 2**40 (far beyond any memory), and
+action ids must fit the word's remaining 24 bits (16,777,216 distinct
+actions).  `BehaviorIndex.moves` and `weak_moves` decode the sets;
 readers outside this module go through them.
 
 `bisim` explores both terms once through one fresh index under a shared
@@ -32,6 +36,8 @@ own saturation) used to cross-check the engine.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .errors import NotFinite, TooLarge
 from .lts import Lts, _topological_order, action_weight, build_lts_multi
@@ -56,8 +62,10 @@ from .syntax import (
 STRONG = "strong"
 WEAK = "weak"
 
-# Width of the id field of a packed move; the action id sits above it.
+# Width of the id field of a packed move; the action id sits above it,
+# in the rest of an unsigned 64-bit word.
 _CID_BITS = 40
+_WORD_BITS = 64
 
 
 class Partition:
@@ -95,7 +103,9 @@ class Partition:
 class _ActionIds(dict):
     """Action -> small id, assigned on first sight; `actions` and
     `weights` (its `action_weight`) are indexed by id.  Tau is id 0, so a
-    packed tau move equals its successor id and sorts first."""
+    packed tau move equals its successor id and sorts first.  Raises
+    TooLarge, assigning nothing, for an id that would not fit the word
+    above the id field."""
 
     __slots__ = ("actions", "weights")
 
@@ -106,17 +116,30 @@ class _ActionIds(dict):
         self[TAU_ACT]  # id 0
 
     def __missing__(self, a) -> int:
-        aid = self[a] = len(self.actions)
+        aid = len(self.actions)
+        if aid >> (_WORD_BITS - _CID_BITS):
+            raise TooLarge(f"more than 2**{_WORD_BITS - _CID_BITS} distinct actions")
+        self[a] = aid
         self.actions.append(a)
         self.weights.append(action_weight(a))
         return aid
 
 
-def _decoded(keys, actions):
-    """(action, id) pairs of the packed moves `keys`."""
+def _words(packed: bytes):
+    """The words of a packed set, as ints."""
+    return memoryview(packed).cast("Q")
+
+
+def _packed(keys) -> bytes:
+    """The sorted distinct words `keys` as one `bytes` object."""
+    return array("Q", keys).tobytes()
+
+
+def _decoded(packed: bytes, actions):
+    """(action, id) pairs of the packed moves `packed`."""
     bits = _CID_BITS
     mask = (1 << bits) - 1
-    for k in keys:
+    for k in _words(packed):
         yield actions[k >> bits], k & mask
 
 
@@ -131,8 +154,8 @@ class BehaviorIndex:
     only earlier ids) and interns each class's weak record, read off its
     successors' records.
 
-    Signatures and both halves of weak records are sorted tuples of ints,
-    one per move, packed as in the module docstring; `moves` and
+    Signatures and both halves of weak records are `bytes` of sorted
+    words, one per move, packed as in the module docstring; `moves` and
     `weak_moves` decode them.  Class ids stop below 2**40, and weak ids
     with them (there are never more weak records than classes).
     """
@@ -143,8 +166,8 @@ class BehaviorIndex:
         # Components, pairs and inputs of compositions, for `derive_steps`.
         self._memo = ExplorationMemo(universe)
         self._action_ids = _ActionIds()
-        self._by_signature: dict[tuple, int] = {}
-        self.signatures: list[tuple[int, ...]] = []
+        self._by_signature: dict[bytes, int] = {}
+        self.signatures: list[bytes] = []
         self.depths: list[int] = []
         # Weak layer, indexed by strong class id and filled on demand.
         self._weak: list[int] = []
@@ -214,10 +237,12 @@ class BehaviorIndex:
     def intern(self, moves) -> int:
         """Class id of a state whose moves are the (action, successor class
         id) pairs `moves`, repeats allowed; every successor id must
-        already exist.  Raises TooLarge rather than allocate id 2**40."""
+        already exist.  Raises TooLarge rather than allocate id 2**40 or
+        an action id past the word (see `_ActionIds`)."""
         bits = _CID_BITS
         aids = self._action_ids
-        sig = tuple(sorted({aids[a] << bits | c for a, c in moves}))
+        keys = sorted({aids[a] << bits | c for a, c in moves})
+        sig = _packed(keys)
         cid = self._by_signature.get(sig)
         if cid is None:
             cid = len(self.signatures)
@@ -228,7 +253,7 @@ class BehaviorIndex:
             mask = (1 << bits) - 1
             weights, depths = aids.weights, self.depths
             depths.append(
-                max((weights[k >> bits] + depths[k & mask] for k in sig), default=0)
+                max((weights[k >> bits] + depths[k & mask] for k in keys), default=0)
             )
         return cid
 
@@ -242,7 +267,7 @@ class BehaviorIndex:
         for each weak class t of its proper tau-descendants."""
         vis, proper = self._weak_sigs[wid]
         yield from _decoded(vis, self._action_ids.actions)
-        for t in proper:
+        for t in _words(proper):
             yield TAU_ACT, t
 
     def depth_of(self, term: Process) -> int:
@@ -253,16 +278,17 @@ class BehaviorIndex:
     # Signature edges always point to strictly smaller class ids, so the
     # strong quotient is a DAG ordered by id and weak classes extend
     # incrementally.  A class's weak record is (vis, proper): the weak
-    # moves (a, weak id) it can make through internal steps, packed, and
-    # the weak ids of its proper tau-descendants, both sorted.  It is read
-    # off the successors' records, since a successor's weak id together
-    # with its record's `proper` is exactly the weak image of its
-    # tau-closure.  A class either collapses into the weak class c of a
-    # proper tau-descendant, when c's record is (vis, proper - {c}) (its
+    # moves (a, weak id) it can make through internal steps, and the weak
+    # ids of its proper tau-descendants, each packed as a signature is.
+    # It is read off the successors' records, since a successor's weak id
+    # together with its record's `proper` is exactly the weak image of
+    # its tau-closure.  A class either collapses into the weak class c of
+    # a proper tau-descendant, when c's record is (vis, proper - {c}) (its
     # remaining behaviour adds nothing -- the stuttering case), or is the
     # unique class with its record, interned on first sight.  A record's
     # `proper` holds only ids older than its own, so only the largest id
-    # of `proper` can pass that test: every other c is older than it.
+    # of `proper`, its last word, can pass that test: every other c is
+    # older than it.
 
     def _ensure_weak(self):
         bits = _CID_BITS
@@ -270,7 +296,7 @@ class BehaviorIndex:
         weak, records, reach = self._weak, self._weak_sigs, self._stutter_reach
         signatures, interned = self.signatures, self._weak_intern
         for cid in range(len(weak), len(signatures)):
-            sig = signatures[cid]
+            sig = _words(signatures[cid])
             vis, proper = set(), set()
             for k in sig:
                 c2 = k & mask
@@ -278,19 +304,20 @@ class BehaviorIndex:
                 vis2, proper2 = records[w]
                 if k == c2:  # action id 0: tau
                     proper.add(w)
-                    proper.update(proper2)
-                    vis.update(vis2)
+                    proper.update(_words(proper2))
+                    vis.update(_words(vis2))
                 else:
                     act = k - c2
                     vis.add(act | w)
                     if proper2:
-                        vis.update([act | t for t in proper2])
-            vis, proper = tuple(sorted(vis)), tuple(sorted(proper))
+                        vis.update([act | t for t in _words(proper2)])
+            vis, keys = _packed(sorted(vis)), sorted(proper)
+            proper = _packed(keys)
             wid = None
-            if proper:
-                top_vis, top_proper = records[proper[-1]]
-                if top_vis == vis and top_proper == proper[:-1]:
-                    wid = proper[-1]
+            if keys:
+                top_vis, top_proper = records[keys[-1]]
+                if top_vis == vis and top_proper == proper[:-8]:
+                    wid = keys[-1]
             if wid is None:
                 key = (vis, proper)
                 wid = interned.get(key)

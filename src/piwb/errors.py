@@ -43,8 +43,8 @@ class Inconclusive(PiwbError):
 
 
 class TooLarge(PiwbError):
-    """Instance exceeds a bound: the naive oracle's configured pairs, or
-    the ids a behaviour index can pack."""
+    """Instance exceeds a bound: the naive oracle's configured pairs, the
+    ids a behaviour index can pack, or the terms a sweep may enumerate."""
 
 
 class NormalizationIncomplete(PiwbError):

@@ -24,8 +24,9 @@ for alpha_canonical and as `{old: new}` for substitute.  A substitution
 therefore cannot capture, and its result is level-named itself.
 
 Terms share structure.  The walk returns the input node itself wherever
-nothing under it changes, and hashcons interns terms so that equal
-subtrees become one object.  Each node caches its free names and a level
+nothing under it changes, hashcons interns terms and their prefixes so
+that equal subtrees and equal prefixes become one object, and each level
+name is one shared string.  Each node caches its free names and a level
 tag, so a term built from canonical parts is recognized as canonical in
 time proportional to its new nodes.  The cached free-name sets are shared
 too: equal sets are one `frozenset` object, held in a table that
@@ -47,8 +48,16 @@ Name = str
 _CANON_BINDER = "v"
 
 
+_BINDER_NAMES: list[Name] = []
+
+
 def canonical_binder(i: int) -> Name:
-    return f"{_CANON_BINDER}{i}"
+    """The i-th reserved binder name.  Each level has one shared string,
+    so the many terms that bind at a level do not each hold a copy."""
+    names = _BINDER_NAMES
+    while len(names) <= i:
+        names.append(f"{_CANON_BINDER}{len(names)}")
+    return names[i]
 
 
 # Level tags besides a depth (see "Level naming" below).
@@ -795,9 +804,12 @@ def hashcons(p: Process) -> Process:
 
     Large state sets (term sweeps, transition graphs) hold millions of
     mostly-overlapping trees; interning collapses equal subtrees to one
-    object.  A node whose children are already the shared ones is itself
-    interned, so nothing is copied.  Equality stays structural: identity
-    is only a fast path, and clearing the table changes no comparison.
+    object.  Prefixes are interned in the same table, beside the nodes
+    (a prefix never equals a process), so the renamed copies of one
+    prefix that substitutions make collapse too.  A node whose children
+    and prefix are already the shared ones is itself interned, so
+    nothing is copied.  Equality stays structural: identity is only a
+    fast path, and clearing the table changes no comparison.
     """
     table = _hashcons_table
     got = table.get(p)
@@ -821,8 +833,9 @@ def hashcons(p: Process) -> Process:
                     t = cls(left, right)
             elif cls is Prefixed:
                 cont = done.pop()
-                if cont is not t.cont:
-                    t = Prefixed(t.prefix, cont)
+                prefix = table.setdefault(t.prefix, t.prefix)
+                if cont is not t.cont or prefix is not t.prefix:
+                    t = Prefixed(prefix, cont)
             else:
                 body = done.pop()
                 if body is not t.body:

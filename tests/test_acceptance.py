@@ -221,10 +221,12 @@ def test_criterion_8_stutter_normalization():
     )
 
 
-# Peak memory budget of the two size-6 sweeps, in MB: with signatures and
-# weak records stored as packed int tuples this test peaked at 435 MB
-# (599 MB with frozensets), on a 2-core Linux machine under Python 3.11.
-SWEEP_PEAK_MB = 520
+# Peak memory budget of the two size-6 sweeps, in MB, about 25% above
+# the measured peak: with signatures and weak records stored as bytes of
+# packed words, one term list per binder depth and shared prefixes this
+# test peaked at 342 MB (435 MB with tuples of packed ints, 599 MB with
+# frozensets), on a 2-core Linux machine under Python 3.11.
+SWEEP_PEAK_MB = 430
 
 
 def _peak_rss_mb() -> float:

@@ -152,6 +152,15 @@ def test_verify_upd_sweep_rejects_bad_arguments(args, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verify_upd_sweep_refuses_a_universe_too_large(capsys):
+    # {a, b} at size 7 is counted, not enumerated: the refusal is at once.
+    t0 = time.perf_counter()
+    assert run(["verify-upd", "--sweep", "--max-size", "7"]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "52,427,052 terms" in err
+
+
 # Tiny terms only: `bisim` explores a whole product with no state budget.
 # Each choice is mostly valid, so most runs get past argument checking.
 _TERMS = st.one_of(

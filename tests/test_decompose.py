@@ -1,4 +1,3 @@
-from functools import lru_cache
 import random
 import time
 
@@ -11,6 +10,7 @@ from piwb import (
     NameUniverse,
     Par,
     STRONG,
+    TooLarge,
     WEAK,
     alpha_canonical,
     alpha_equivalent,
@@ -102,46 +102,32 @@ def test_term_universe_sizes_monotone():
         assert term_size(t) <= 4
 
 
-def _grammar_count(n_names: int, max_size: int) -> int:
-    """Terms of at most `max_size` operators over `n_names` names, counted
-    from `TermUniverse`'s grammar without enumerating: a process is a
-    summation, two processes in parallel or a restriction of one; a
-    summation is 0, a prefixed process or a sum of two summations; a
-    prefix of k operators is k - 1 guards over a basic prefix.  With m
-    names in scope, free or bound, there are m * m guards and m * m
-    outputs, m inputs (which bind one more name) and tau, so only the
-    number of binders in scope matters."""
-
-    @lru_cache(maxsize=None)
-    def processes(size, bound):
-        got = summations(size, bound)
-        if size >= 2:
-            got += processes(size - 1, bound + 1)
-        return got + sum(
-            processes(a, bound) * processes(size - 1 - a, bound) for a in range(1, size - 1)
-        )
-
-    @lru_cache(maxsize=None)
-    def summations(size, bound):
-        m = n_names + bound
-        got = int(size == 1)
-        for k in range(1, size):
-            conts = (m * m + 1) * processes(size - k, bound) + m * processes(size - k, bound + 1)
-            got += (m * m) ** (k - 1) * conts
-        return got + sum(
-            summations(a, bound) * summations(size - 1 - a, bound) for a in range(1, size - 1)
-        )
-
-    return sum(processes(size, 0) for size in range(1, max_size + 1))
-
-
 def test_term_universe_count_follows_its_grammar():
+    # `count` reads the grammar without enumerating; every smaller
+    # universe is enumerated to check it.
+    for names in (["a"], ["a", "b"], ["a", "b", "c"]):
+        for size in range(5):
+            tu = TermUniverse(names, size)
+            assert tu.count() == sum(1 for _ in tu.enumerate()), (names, size)
     for names, want in ((["a"], 349), (["a", "b"], 2_136), (["a", "b", "c"], 10_281)):
-        assert _grammar_count(len(names), 4) == TermUniverse(names, 4).count() == want
+        assert TermUniverse(names, 4).count() == want
     # The sweeps' pinned term counts, too large to enumerate here, and the
     # {a, b} universe at size 7.
-    assert [_grammar_count(2, size) for size in (5, 6, 7)] == [49_051, 1_437_668, 52_427_052]
-    assert [_grammar_count(3, size) for size in (5, 6)] == [342_847, 13_549_335]
+    assert [TermUniverse(["a", "b"], size).count() for size in (5, 6, 7)] == [
+        49_051, 1_437_668, 52_427_052
+    ]
+    assert [TermUniverse(["a", "b", "c"], size).count() for size in (5, 6)] == [
+        342_847, 13_549_335
+    ]
+
+
+def test_sweep_refuses_a_universe_past_its_limit():
+    # {a, b, c} at size 6 is admitted; the check runs before enumerating.
+    assert TermUniverse(["a", "b", "c"], 6).count() <= decompose.SWEEP_MAX_TERMS
+    with pytest.raises(TooLarge, match="52,427,052 terms up to size 7"):
+        upd_sweep(["a", "b"], 7, STRONG)
+    with pytest.raises(TooLarge, match="up to size 7 exceed"):
+        upd_sweep(["a", "b"], 10**6, WEAK)
 
 
 def test_decomposition_nil_is_empty():
@@ -561,6 +547,46 @@ def test_sweep_reports_conflicting_factorizations():
             "other": "a!b.0 | a!b.0 | a!b.0",
             "factors": [1, 1, 2],
             "other_factors": [1, 1, 1],
+        },
+    ]
+    # Classes of equal depth are settled in the order of their first
+    # members, not of their first split members nor of their ids: x's
+    # first member comes before y's, y splits first, and y has the
+    # smaller id.
+    index = BehaviorIndex(NameUniverse(frozenset("ab"), "early"))
+    sweep = _Sweep(index, STRONG)
+    a, b = index.class_of(parse("a!b.0")), index.class_of(parse("b!a.0"))
+    y = index.class_of(parse("a!b.0 | b!a.0"))
+    x = index.class_of(parse("b!a.0 | b!a.0"))
+    assert (a, b, y, x) == (1, 2, 3, 4) and index.depths[x] == index.depths[y]
+    forced = {
+        parse("a!b.b!a.0 + b!a.a!b.0"): (a, a),
+        parse("b!a.b!a.0"): (a, b),
+    }
+    real_key = sweep.factor_key
+    sweep.factor_key = lambda t, cid: forced.get(t) or real_key(t, cid)
+    for text in [
+        "b!a.b!a.0 + b!a.b!a.0",
+        "a!b.0 | b!a.0",
+        "a!b.b!a.0 + b!a.a!b.0",
+        "b!a.0 | b!a.0",
+        "b!a.b!a.0",
+    ]:
+        sweep.add_term(parse(text))
+    assert sweep.collect_violations() == [
+        {
+            "class": 4,
+            "term": "b!a.b!a.0",
+            "other": "b!a.0 | b!a.0",
+            "factors": [1, 2],
+            "other_factors": [2, 2],
+        },
+        {
+            "class": 3,
+            "term": "a!b.b!a.0 + b!a.a!b.0",
+            "other": "a!b.0 | b!a.0",
+            "factors": [1, 1],
+            "other_factors": [1, 2],
         },
     ]
 

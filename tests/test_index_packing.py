@@ -1,10 +1,12 @@
-"""BehaviorIndex stores each class's moves and each weak record as a
-sorted tuple of packed ints.  These tests replay the moves the index is
-given into the frozenset engine it replaced and require the same class
-ids, depths, weak ids and stuttering flags, and check the packing itself.
+"""BehaviorIndex stores each class's moves and each half of a weak
+record as `bytes` of sorted packed 64-bit words.  These tests replay the
+moves the index is given into the frozenset engine it replaced and
+require the same class ids, depths, weak ids and stuttering flags, and
+check the packing itself.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -108,16 +110,21 @@ def interned(monkeypatch):
     return log
 
 
+def _words(packed):
+    assert type(packed) is bytes and len(packed) % 8 == 0, packed
+    return array("Q", packed).tolist()
+
+
 def _assert_packed(index):
     for sig in index.signatures:
-        assert type(sig) is tuple and all(type(k) is int for k in sig), sig
-        assert list(sig) == sorted(set(sig)), sig
+        assert _words(sig) == sorted(set(_words(sig))), sig
+        if not sig:
+            assert sig is b""
     for vis, proper in index._weak_sigs:
         for half in (vis, proper):
-            assert type(half) is tuple and all(type(k) is int for k in half), half
-            assert list(half) == sorted(set(half)), half
-        if not proper:
-            assert proper is ()
+            assert _words(half) == sorted(set(_words(half))), half
+            if not half:
+                assert half is b""
 
 
 def _assert_matches_reference(log):
@@ -199,7 +206,7 @@ def test_moves_at_the_edges_of_both_fields_round_trip(monkeypatch):
     cid = index.intern(moves + moves[::-1])
     assert cid == 7
     assert index._action_ids[actions[-1]] == 300
-    assert len(index.signatures[cid]) == len(moves)
+    assert len(index.signatures[cid]) == 8 * len(moves)
     assert set(index.moves(cid)) == set(moves)
     assert index.depths[cid] == 1 + 2 * 6
     index.weak_id(cid)
@@ -224,3 +231,23 @@ def test_class_ids_past_the_field_raise_without_aliasing(monkeypatch):
     with pytest.raises(TooLarge):
         index.intern([(a, 0)])
     assert len(index.signatures) == 8
+
+
+def test_action_ids_past_the_field_raise_without_aliasing(monkeypatch):
+    # With a 60-bit id field, the 4 bits above it hold action ids 0-15;
+    # id 16 would need a 65th bit.
+    monkeypatch.setattr(equivalence, "_CID_BITS", 60)
+    index = BehaviorIndex(NameUniverse.for_terms(extra_known=("a",)))
+    zero = index.intern([])
+    actions = [FreeOut("a", f"n{i}") for i in range(1, 16)]  # ids 1-15
+    cid = index.intern([(x, zero) for x in actions])
+    assert index._action_ids[actions[-1]] == 15
+    assert set(index.moves(cid)) == {(x, zero) for x in actions}
+    signatures, depths = list(index.signatures), list(index.depths)
+    extra = FreeOut("a", "n16")
+    with pytest.raises(TooLarge):
+        index.intern([(TAU_ACT, cid), (extra, zero)])
+    assert extra not in index._action_ids
+    assert len(index._action_ids.actions) == 16
+    assert index.signatures == signatures and index.depths == depths
+    assert index.intern([(x, zero) for x in actions]) == cid
